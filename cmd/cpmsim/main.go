@@ -15,8 +15,8 @@
 //
 //	-quick        shortened horizons (same shapes, faster)
 //	-seed N       experiment seed (default 1, must be non-zero)
-//	-check        attach the invariant suite to every run (internal/check);
-//	              any violation fails the experiment
+//	-check        fail an experiment on any violation of the invariant
+//	              suite every run carries (internal/check)
 //	-csv DIR      also write every series as CSV files into DIR
 //	-workers N    run experiments concurrently (0 = GOMAXPROCS); reports
 //	              are buffered per experiment and printed in request order
@@ -42,7 +42,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/diag"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/experiments"
-	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/trace"
 )
@@ -68,7 +67,7 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run shortened horizons")
 	seed := fs.Uint64("seed", 1, "experiment seed (non-zero)")
-	checked := fs.Bool("check", false, "attach the invariant-checking suite to every run")
+	checked := fs.Bool("check", false, "fail an experiment on any invariant violation (every run carries the invariant suite)")
 	csvDir := fs.String("csv", "", "directory to write CSV series into")
 	workers := fs.Int("workers", 1, "concurrent experiments (0 = GOMAXPROCS)")
 	resume := fs.String("resume", "", "scenario: checkpoint file to restore before running")
@@ -220,11 +219,8 @@ func runScenarios(c cliConfig, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var extra []engine.Observer
-		if c.opts.Metrics != nil {
-			extra = append(extra, metrics.NewObserver(c.opts.Metrics, metrics.ObserverOptions{Label: sc.Name}))
-		}
-		sess, suite, err := sc.Build(c.opts.Seed, extra...)
+		sc.Metrics = c.opts.Metrics
+		sess, suite, err := sc.Build(c.opts.Seed)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", name, err)
 		}

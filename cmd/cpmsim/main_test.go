@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/check"
+	"github.com/cpm-sim/cpm/internal/metrics"
 )
 
 func TestParseCLIValid(t *testing.T) {
@@ -190,5 +191,53 @@ func TestScenarioMetricsJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"cpm_intervals_total"`)) {
 		t.Errorf("scenario telemetry missing from export:\n%s", raw)
+	}
+}
+
+// TestScenarioTelemetryFamilies pins the scenario export to the full run
+// plane: a managed canonical scenario must carry the PIC tracking-error
+// samples and the chip (cache, DVFS residency) and controller-state series,
+// not only the label-level counters.
+func TestScenarioTelemetryFamilies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden scenario replay in -short mode")
+	}
+	c, err := parseCLI([]string{"-metrics", filepath.Join(t.TempDir(), "telemetry.prom"), "scenario", "cpm-default"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.opts.Metrics = c.diag.Registry()
+	if err := runScenarios(c, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var prom bytes.Buffer
+	if err := c.opts.Metrics.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := metrics.ParsePrometheus(&prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]metrics.ParsedFamily{}
+	for _, f := range fams {
+		byName[f.Name] = f
+	}
+	for _, want := range []string{
+		"cpm_cache_hits_total", "cpm_cache_misses_total",
+		"cpm_island_level_residency_intervals_total",
+		"cpm_pic_integrator", "cpm_pic_freq_norm", "cpm_pic_target_frac", "cpm_pic_est_power_frac",
+	} {
+		if len(byName[want].Samples) == 0 {
+			t.Errorf("export lacks %s", want)
+		}
+	}
+	count := -1.0
+	for _, s := range byName["cpm_pic_tracking_error_frac"].Samples {
+		if s.Name == "cpm_pic_tracking_error_frac_count" && s.Labels["run"] == "cpm-default" {
+			count = s.Value
+		}
+	}
+	if count <= 0 {
+		t.Errorf("cpm_pic_tracking_error_frac_count{run=\"cpm-default\"} = %v, want > 0", count)
 	}
 }

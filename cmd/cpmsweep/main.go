@@ -7,7 +7,9 @@
 // each pays only its cheap frequency-dependent half. -scalar restores the
 // legacy independent-simulation path; both paths, any -workers and any
 // -farm-size produce byte-identical CSV (results are emitted in budget
-// order). Progress and ETA go to stderr; stdout carries only the CSV.
+// order), and so does -resilient. Every point is a check.Scenario built by
+// its one constructor; the routes differ only in how the built sessions
+// are scheduled. Progress and ETA go to stderr; stdout carries only the CSV.
 //
 // Usage:
 //
@@ -25,17 +27,16 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/cpm-sim/cpm/internal/check"
-	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/diag"
 	"github.com/cpm-sim/cpm/internal/engine"
-	"github.com/cpm-sim/cpm/internal/gpm"
+	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/metrics"
-	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/snapshot"
-	"github.com/cpm-sim/cpm/internal/thermal"
+	"github.com/cpm-sim/cpm/internal/sweepd"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	warm := fs.Int("warm", 6, "warm-up GPM epochs")
 	epochs := fs.Int("epochs", 16, "measured GPM epochs")
 	workers := fs.Int("workers", 0, "concurrent budget points (0 = GOMAXPROCS)")
-	checked := fs.Bool("check", false, "attach the invariant-checking suite to every run")
+	checked := fs.Bool("check", false, "fail the sweep on any invariant violation (every run carries the invariant suite)")
 	warmstart := fs.Bool("warmstart", false, "warm the chip once unmanaged, snapshot it, and fork every budget point from the snapshot (skips per-point warm-up; trajectories differ slightly from the default per-point managed warm-up)")
 	scalar := fs.Bool("scalar", false, "run every point as an independent full simulation instead of a shared-sampler farm (slower; identical CSV)")
 	farmSize := fs.Int("farm-size", 0, "max chips per farm sampler group; 0 = unlimited (one shared group per workload)")
@@ -99,8 +100,8 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	if err != nil {
 		return sweepOptions{}, err
 	}
-	if _, err := makePolicy(*policy); err != nil { // validate the name before calibrating
-		return sweepOptions{}, err
+	if _, err := check.PolicyByName(*policy); err != nil { // validate the name before calibrating
+		return sweepOptions{}, fmt.Errorf("cpmsweep: -policy: %w", err)
 	}
 	return sweepOptions{
 		Mix:       mix,
@@ -111,7 +112,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 		Warm:      *warm,
 		Epochs:    *epochs,
 		Workers:   *workers,
-		Parallel:  true,
 		Check:     *checked,
 		WarmStart: *warmstart,
 		Scalar:    *scalar,
@@ -150,12 +150,8 @@ type sweepOptions struct {
 	Epochs   int
 	// Workers is the engine.Pool size (0 = GOMAXPROCS).
 	Workers int
-	// Parallel selects the simulator's island-parallel executor inside each
-	// run. Pool-level and island-level parallelism compose; benchmarks
-	// disable the inner level to isolate the pool's speedup.
-	Parallel bool
-	// Check attaches the invariant suite to every run; a violation fails
-	// the sweep.
+	// Check fails the sweep on any invariant violation; every run carries
+	// the suite either way.
 	Check bool
 	// WarmStart warms one unmanaged chip per chip configuration, snapshots
 	// it, and forks every budget point from the snapshot with a zero
@@ -164,9 +160,9 @@ type sweepOptions struct {
 	// unmanaged, so the measured trajectories (and CSV) differ slightly
 	// from the default per-point managed warm-up.
 	WarmStart bool
-	// Scalar disables the farm route: every point simulates independently
-	// (the pre-farm behaviour). The CSV is identical either way; the farm
-	// shares one trace sampler across all points of a sweep.
+	// Scalar disables the farm route: every point simulates independently.
+	// The CSV is identical either way; the farm shares one trace sampler
+	// across all points of a sweep.
 	Scalar bool
 	// FarmSize caps the chips per farm sampler group (0 = unlimited).
 	// Grouping changes scheduling only, never the CSV.
@@ -191,318 +187,254 @@ type sweepOptions struct {
 	Metrics *metrics.Registry
 }
 
-// sweepRow is one budget point's measurements, in output order.
-type sweepRow struct {
-	frac, budgetW              float64
-	oursPowerW, oursDegr       float64
-	maxbipsPowerW, maxbipsDegr float64
-}
-
 // sweep calibrates once, runs every point — the shared unmanaged baseline
 // plus a CPM and a MaxBIPS run per budget — through the farm route (or the
-// legacy scalar route under -scalar), and emits CSV in budget order.
+// scalar or resilient route), and emits CSV in budget order.
 func sweep(o sweepOptions, out, logw io.Writer) error {
-	cfg := sim.DefaultConfig(o.Mix)
-	cfg.Seed = o.Seed
-	cfg.Parallel = o.Parallel
-
-	cal, err := core.Calibrate(cfg, 60, 240)
+	policy, err := check.PolicyByName(o.Policy)
+	if err != nil {
+		return err
+	}
+	base := check.Scenario{
+		Name: "unmanaged", Mix: func() workload.Mix { return o.Mix }, Unmanaged: true,
+		Policy: policy, Adaptive: o.Adaptive,
+		WarmEpochs: o.Warm, MeasureEpochs: o.Epochs, Metrics: o.Metrics,
+	}
+	cal, err := base.Calibration(o.Seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "calibrated %s: unmanaged %.1f W, plant gain %.3f\n",
 		o.Mix.Name, cal.UnmanagedPowerW, cal.PlantGain)
 
-	var rows []sweepRow
+	// Point layout: 0 is the unmanaged baseline, then (cpm, maxbips) per
+	// budget fraction.
+	pts := []check.Scenario{base}
+	for _, frac := range o.Fracs {
+		ours := base
+		ours.Name, ours.Unmanaged, ours.BudgetFrac = fmt.Sprintf("cpm-%.2f", frac), false, frac
+		mb := ours
+		mb.Name, mb.MaxBIPS = fmt.Sprintf("maxbips-%.2f", frac), true
+		pts = append(pts, ours, mb)
+	}
+	var samplerState []byte
+	if o.WarmStart {
+		if samplerState, err = warmStart(pts, o.Seed, !o.Scalar && !o.Resilient); err != nil {
+			return err
+		}
+		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
+			o.Warm, len(o.Fracs))
+	}
+
+	var sums []engine.Summary
 	switch {
 	case o.Resilient:
-		rows, err = sweepResilient(cfg, cal, o, logw)
+		sums, err = runResilient(pts, o, logw)
 	case o.Scalar:
-		rows, err = sweepScalar(cfg, cal, o, logw)
+		sums, err = runScalar(pts, o)
 	default:
-		rows, err = sweepFarm(cfg, cal, o, logw)
+		sums, err = runFarm(pts, o, samplerState, logw)
 	}
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(out, "budget_frac,budget_w,ours_power_w,ours_degradation,maxbips_power_w,maxbips_degradation")
-	for _, r := range rows {
+	for i, frac := range o.Fracs {
+		ours, mb := sums[1+2*i], sums[2+2*i]
 		fmt.Fprintf(out, "%.2f,%.2f,%.2f,%.4f,%.2f,%.4f\n",
-			r.frac, r.budgetW, r.oursPowerW, r.oursDegr, r.maxbipsPowerW, r.maxbipsDegr)
+			frac, cal.BudgetW(frac), ours.MeanPowerW, engine.Degradation(ours, sums[0]),
+			mb.MeanPowerW, engine.Degradation(mb, sums[0]))
 	}
 	return nil
 }
 
-// sweepScalar is the legacy route: every point is an independent full
-// simulation (own sampling), parallelized over the pool.
-func sweepScalar(cfg sim.Config, cal core.Calibration, o sweepOptions, logw io.Writer) ([]sweepRow, error) {
-	var warmManaged, warmBase []byte
-	var err error
-	if o.WarmStart {
-		// One warm chip per chip configuration: the unmanaged baseline
-		// runs at the top level (InitialLevel -1), the managed points at
-		// the default initial level. Every budget point forks from the
-		// matching snapshot instead of re-running its own warm-up.
-		if warmManaged, err = warmChipSnapshot(cfg, o.Warm); err != nil {
-			return nil, err
-		}
-		bcfg := cfg
-		bcfg.InitialLevel = -1
-		if warmBase, err = warmChipSnapshot(bcfg, o.Warm); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
-			o.Warm, len(o.Fracs))
+// verdict fails a finished point on an invariant violation under -check.
+func (o sweepOptions) verdict(sc check.Scenario, suite *check.Suite) error {
+	if !o.Check {
+		return nil
 	}
-
-	base, err := measureUnmanaged(cfg, o.Warm, o.Epochs, o.Check, o.Metrics, warmBase)
-	if err != nil {
-		return nil, err
+	if err := suite.Err(); err != nil {
+		return fmt.Errorf("%s: %w", sc.Name, err)
 	}
-	return sweepRows(cfg, cal, base, o, warmManaged)
+	return nil
 }
 
-// sweepRows measures every budget point on an engine.Pool, returning rows
-// in budget order regardless of worker count.
-func sweepRows(cfg sim.Config, cal core.Calibration, base engine.Summary, o sweepOptions, warmState []byte) ([]sweepRow, error) {
-	return engine.Map(engine.Pool{Workers: o.Workers}, len(o.Fracs), func(i int) (sweepRow, error) {
-		frac := o.Fracs[i]
-		budget := cal.BudgetW(frac)
-		// Policies can be stateful (e.g. variation-aware), so each job
-		// builds its own instance.
-		pol, err := makePolicy(o.Policy)
+// runScalar runs every point as an independent full simulation (own
+// sampling), parallelized over the pool.
+func runScalar(pts []check.Scenario, o sweepOptions) ([]engine.Summary, error) {
+	return engine.Map(engine.Pool{Workers: o.Workers}, len(pts), func(i int) (engine.Summary, error) {
+		sess, suite, err := pts[i].Build(o.Seed)
 		if err != nil {
-			return sweepRow{}, err
+			return engine.Summary{}, err
 		}
-		ours, err := measureCPM(cfg, cal, budget, pol, o.Adaptive, o.Warm, o.Epochs, o.Check, o.Metrics, frac, warmState)
-		if err != nil {
-			return sweepRow{}, err
-		}
-		mb, err := measureMaxBIPS(cfg, budget, o.Warm, o.Epochs, o.Check, o.Metrics, frac, warmState)
-		if err != nil {
-			return sweepRow{}, err
-		}
-		return sweepRow{
-			frac: frac, budgetW: budget,
-			oursPowerW: ours.MeanPowerW, oursDegr: engine.Degradation(ours, base),
-			maxbipsPowerW: mb.MeanPowerW, maxbipsDegr: engine.Degradation(mb, base),
-		}, nil
+		sum := sess.Run()
+		return sum, o.verdict(pts[i], suite)
 	})
 }
 
-// warmChipSnapshot steps a fresh unmanaged chip through the warm-up window
-// and returns its full-state snapshot, to be forked by every budget point.
-func warmChipSnapshot(cfg sim.Config, warmEpochs int) ([]byte, error) {
-	cmp, err := sim.New(cfg)
+// runFarm is the default route: every point becomes one chip of a farm.
+// All points share the sweep's workload identity (budget, controller and
+// initial DVFS level are compute-half state), so they collapse into one
+// sampler group and the sweep pays the sampling cost of a single run
+// instead of 1+2*len(budgets) runs. Chips are bit-identical to the scalar
+// route's, so the CSV is byte-identical at any -workers or -farm-size.
+func runFarm(pts []check.Scenario, o sweepOptions, samplerState []byte, logw io.Writer) ([]engine.Summary, error) {
+	specs := make([]farm.ChipSpec, len(pts))
+	suites := make([]*check.Suite, len(pts))
+	for i, sc := range pts {
+		i, sc := i, sc
+		specs[i] = farm.ChipSpec{
+			Config: sc.BuildConfig(o.Seed),
+			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+				sess, suite, err := sc.BuildOn(cmp, o.Seed)
+				suites[i] = suite
+				return sess, err
+			},
+		}
+	}
+	f, err := farm.New(specs, farm.Options{MaxGroup: o.FarmSize, SamplerState: samplerState})
 	if err != nil {
 		return nil, err
 	}
-	for k := 0; k < warmEpochs*20; k++ {
-		cmp.Step()
-	}
-	e := snapshot.NewEncoder()
-	if err := cmp.Snapshot(e); err != nil {
+	fmt.Fprintf(logw, "farm: %d points in %d sampler group(s)\n", f.NumChips(), f.NumGroups())
+	sums, err := f.Run(engine.Pool{Workers: o.Workers}, progressPrinter(logw))
+	if err != nil {
 		return nil, err
 	}
-	return e.Bytes(), nil
-}
-
-// forkWarmChip builds a fresh chip and, when a warm snapshot is given,
-// restores the shared warm state into it and zeroes the remaining warm-up.
-// The snapshot bytes are only read, so concurrent budget points can fork
-// from the same buffer.
-func forkWarmChip(cfg sim.Config, warmState []byte, warm int) (*sim.CMP, int, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if warmState == nil {
-		return cmp, warm, nil
-	}
-	if err := cmp.Restore(snapshot.NewDecoder(warmState)); err != nil {
-		return nil, 0, fmt.Errorf("cpmsweep: forking warm chip: %w", err)
-	}
-	return cmp, 0, nil
-}
-
-// buildUnmanaged constructs the baseline point's stack without running it,
-// so both the blocking route (measureUnmanaged) and the resilient
-// coordinator route drive identical sessions.
-func buildUnmanaged(cfg sim.Config, warm, epochs int, checked bool, reg *metrics.Registry, warmState []byte) (*engine.Session, *check.Suite, error) {
-	cfg.InitialLevel = -1
-	cmp, warm, err := forkWarmChip(cfg, warmState, warm)
-	if err != nil {
-		return nil, nil, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if checked {
-		suite = check.All(check.ForChip(cmp, 0))
-		obs = append(obs, suite)
-	}
-	if reg != nil {
-		obs = append(obs, metrics.NewObserver(reg, metrics.ObserverOptions{Label: "unmanaged", Chip: cmp}))
-	}
-	s, err := engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: epochs, Label: "unmanaged",
-	}, obs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, suite, nil
-}
-
-func measureUnmanaged(cfg sim.Config, warm, epochs int, checked bool, reg *metrics.Registry, warmState []byte) (engine.Summary, error) {
-	s, suite, err := buildUnmanaged(cfg, warm, epochs, checked, reg, warmState)
-	if err != nil {
-		return engine.Summary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, err
+	for i, sc := range pts {
+		if err := o.verdict(sc, suites[i]); err != nil {
+			return nil, err
 		}
 	}
-	return sum, nil
+	return sums, nil
 }
 
-// buildCPM constructs one managed budget point's stack without running it.
-func buildCPM(cfg sim.Config, cal core.Calibration, budget float64, pol gpm.Policy, adaptive bool, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (*engine.Session, *check.Suite, error) {
-	cmp, warm, err := forkWarmChip(cfg, warmState, warm)
+// runResilient is the crash-safe route: every point becomes a sweepd point
+// driven by the coordinator. Workers checkpoint at interval boundaries; a
+// killed (or panicked) worker's point migrates to a survivor and resumes
+// from its latest checkpoint, and the CSV stays byte-identical to the
+// scalar and farm routes at any worker count and under any kill schedule.
+func runResilient(pts []check.Scenario, o sweepOptions, logw io.Writer) ([]engine.Summary, error) {
+	points := make([]sweepd.Point, len(pts))
+	suites := make([]*check.Suite, len(pts)) // final incarnation per point
+	for i, sc := range pts {
+		i, sc := i, sc
+		// The index keeps repeated budget fractions unique: names are
+		// checkpoint fingerprints.
+		points[i] = sweepd.Point{Name: fmt.Sprintf("%s#%d", sc.Name, i), Build: func() (*sweepd.Instance, error) {
+			sess, suite, err := sc.Build(o.Seed)
+			if err != nil {
+				return nil, err
+			}
+			suites[i] = suite
+			inst := &sweepd.Instance{Session: sess}
+			if o.Check {
+				inst.Check = suite.Err
+			}
+			return inst, nil
+		}}
+	}
+	c, err := sweepd.New(points, sweepd.Config{
+		Workers:         o.Workers,
+		CheckpointEvery: o.CkptEvery,
+		KillEvery:       o.KillEvery,
+		Metrics:         sweepd.NewInstruments(o.Metrics, o.Mix.Name),
+		Log:             logw,
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c, err := core.New(cmp, core.Config{BudgetW: budget, Policy: pol, Transducers: cal.Transducers, Adaptive: adaptiveConfig(adaptive, cal)})
+	sums, err := c.Run()
+	st := c.Stats()
+	fmt.Fprintf(logw, "resilient sweep: %d points, %d checkpoints (%d bytes total, %d max), %d kills, %d migrations (%d resumed from checkpoints)\n",
+		len(pts), st.Checkpoints, st.CheckpointBytes, st.MaxCheckpointBytes, st.Kills, st.Migrations, st.Restores)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if checked {
-		suite = check.ForCPM(c, budget)
-		obs = append(obs, suite)
-	}
-	if reg != nil {
-		pics := make([]*pic.Controller, cmp.NumIslands())
-		for i := range pics {
-			pics[i] = c.PIC(i)
-		}
-		obs = append(obs, metrics.NewObserver(reg, metrics.ObserverOptions{
-			Label: fmt.Sprintf("cpm-%.2f", frac), Chip: cmp, PICs: pics,
-		}))
-	}
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: epochs, BudgetW: budget, Label: "cpm",
-	}, obs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, suite, nil
-}
-
-func measureCPM(cfg sim.Config, cal core.Calibration, budget float64, pol gpm.Policy, adaptive bool, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (engine.Summary, error) {
-	s, suite, err := buildCPM(cfg, cal, budget, pol, adaptive, warm, epochs, checked, reg, frac, warmState)
-	if err != nil {
-		return engine.Summary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("budget %.2f W: %w", budget, err)
-		}
-	}
-	return sum, nil
-}
-
-// buildMaxBIPS constructs one MaxBIPS budget point's stack without running it.
-func buildMaxBIPS(cfg sim.Config, budget float64, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (*engine.Session, *check.Suite, error) {
-	cmp, warm, err := forkWarmChip(cfg, warmState, warm)
-	if err != nil {
-		return nil, nil, err
-	}
-	planner, err := engine.NewStaticPlanner(cmp)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := engine.NewMaxBIPSRunner(cmp, planner, budget, 20)
-	if err != nil {
-		return nil, nil, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if checked {
-		// Open-loop MaxBIPS overshoots realized power by design; widen the
-		// budget tolerance to the paper's reported ~20% worst case.
-		ccfg := check.ForChip(cmp, budget)
-		ccfg.BudgetTolFrac = 0.25
-		ccfg.IslandTolFrac = 0.25
-		suite = check.All(ccfg)
-		obs = append(obs, suite)
-	}
-	if reg != nil {
-		obs = append(obs, metrics.NewObserver(reg, metrics.ObserverOptions{
-			Label: fmt.Sprintf("maxbips-%.2f", frac), Chip: cmp,
-		}))
-	}
-	s, err := engine.NewSession(r, engine.SessionConfig{
-		WarmEpochs: warm, MeasureEpochs: epochs, BudgetW: budget, Label: "maxbips",
-	}, obs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, suite, nil
-}
-
-func measureMaxBIPS(cfg sim.Config, budget float64, warm, epochs int, checked bool, reg *metrics.Registry, frac float64, warmState []byte) (engine.Summary, error) {
-	s, suite, err := buildMaxBIPS(cfg, budget, warm, epochs, checked, reg, frac, warmState)
-	if err != nil {
-		return engine.Summary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("maxbips budget %.2f W: %w", budget, err)
+	// The coordinator's boundary checks catch mid-run violations; this
+	// final pass covers the tail intervals after the last boundary check.
+	for i, sc := range pts {
+		if err := o.verdict(sc, suites[i]); err != nil {
+			return nil, err
 		}
 	}
-	return sum, nil
+	return sums, nil
 }
 
-// adaptiveConfig builds the per-run adaptive-gain configuration for
-// -adaptive sweeps (nil when off), seeding the RLS estimator from the
-// sweep's calibrated plant gain.
-func adaptiveConfig(on bool, cal core.Calibration) *pic.AdaptiveConfig {
-	if !on {
-		return nil
+// progressPrinter reports fleet progress and an ETA to the log writer as
+// points finish. Stdout never sees it — the CSV stays byte-identical with
+// or without progress.
+func progressPrinter(logw io.Writer) func(done, total int) {
+	start := time.Now()
+	return func(done, total int) {
+		elapsed := time.Since(start)
+		if done <= 0 || done > total {
+			fmt.Fprintf(logw, "progress: %d/%d points\n", done, total)
+			return
+		}
+		eta := elapsed / time.Duration(done) * time.Duration(total-done)
+		fmt.Fprintf(logw, "progress: %d/%d points, elapsed %s, eta %s\n",
+			done, total, elapsed.Round(time.Second), eta.Round(time.Second))
 	}
-	return &pic.AdaptiveConfig{SeedGain: cal.PlantGain}
 }
 
-func makePolicy(name string) (gpm.Policy, error) {
-	switch name {
-	case "equal":
-		return gpm.EqualShare{}, nil
-	case "variation":
-		return &gpm.VariationAware{StepFrac: 0.08, HoldIntervals: 1, MinShareFrac: 0.7}, nil
-	case "thermal":
-		fp, err := thermal.Grid(2, 4)
+// warmStart simulates the sweep's warm-up once per chip configuration —
+// the managed points start at the default DVFS level, the unmanaged
+// baseline (pts[0]) at the top one — snapshots both chips, and forks every
+// point from its snapshot with no warm-up of its own. On the farm route
+// (shared) the two template chips step in lockstep over one record
+// sampler, whose snapshot is returned for the farm's samplers to resume
+// from, cursors aligned with the templates' interval counters.
+func warmStart(pts []check.Scenario, seed uint64, shared bool) (samplerState []byte, err error) {
+	cfgs := [2]sim.Config{pts[1].BuildConfig(seed), pts[0].BuildConfig(seed)} // managed, unmanaged
+	var sampler *sim.Sampler
+	if shared {
+		if sampler, err = sim.NewSampler(cfgs[0]); err != nil {
+			return nil, err
+		}
+	}
+	var chips [2]*sim.CMP
+	for i, cfg := range cfgs {
+		if shared {
+			chips[i], err = sim.NewWithRecords(cfg, sampler)
+		} else {
+			chips[i], err = sim.New(cfg)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return &gpm.ThermalAware{
-			Base: &gpm.PerformanceAware{}, Floorplan: fp,
-			AdjacentPairCap: 0.30, ConsecutiveLimit: 2,
-			SoloCap: 0.20, SoloConsecutiveLimit: 4,
-		}, nil
-	case "performance":
-		return &gpm.PerformanceAware{}, nil
-	case "mpc":
-		return &gpm.ModelPredictive{}, nil
-	case "cache":
-		return &gpm.CacheAware{}, nil
-	default:
-		return nil, fmt.Errorf("cpmsweep: unknown policy %q (want performance, equal, thermal, variation, mpc, cache)", name)
+		if shared {
+			chips[i].SetCacheStatsSource(sampler.CacheStats)
+		}
 	}
+	for k := 0; k < pts[0].WarmEpochs*20; k++ {
+		for _, c := range chips {
+			c.Step()
+		}
+	}
+	var states [2][]byte
+	for i, c := range chips {
+		e := snapshot.NewEncoder()
+		if err := c.Snapshot(e); err != nil {
+			return nil, err
+		}
+		states[i] = e.Bytes()
+	}
+	for i := range pts {
+		if pts[i].Unmanaged {
+			pts[i].WarmState = states[1]
+		} else {
+			pts[i].WarmState = states[0]
+		}
+		pts[i].WarmEpochs = 0
+	}
+	if shared {
+		e := snapshot.NewEncoder()
+		sampler.Snapshot(e)
+		samplerState = e.Bytes()
+	}
+	return samplerState, nil
 }
 
 func parseBudgets(s string) ([]float64, error) {
@@ -510,15 +442,15 @@ func parseBudgets(s string) ([]float64, error) {
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			return nil, fmt.Errorf("cpmsweep: bad budget %q", part)
+			return nil, fmt.Errorf("cpmsweep: -budgets: bad budget %q", part)
 		}
-		if v <= 0 || v > 1 {
-			return nil, fmt.Errorf("cpmsweep: budget %v out of (0, 1]", v)
+		if !(v > 0 && v <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("cpmsweep: -budgets: budget %v out of (0, 1]", v)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("cpmsweep: no budgets")
+		return nil, fmt.Errorf("cpmsweep: -budgets: no budgets")
 	}
 	return out, nil
 }

@@ -16,24 +16,29 @@ func TestResilientSweepMatchesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("resilient sweeps in -short mode")
 	}
-	o := testOptions(1)
-	o.Fracs = []float64{0.7, 0.8, 0.9}
-	o.Check = true
-	want := runSweep(t, o)
-
 	cases := []struct {
 		name                 string
+		warm                 int
 		killEvery, ckptEvery int
 		workers              int
 	}{
-		{"no faults", 0, 0, 2},
-		{"kill every boundary", 1, 1, 2},
-		{"rollback cadence", 7, 5, 3},
-		{"serial with kills", 4, 5, 1},
+		{"no faults", 1, 0, 0, 2},
+		{"kill every boundary", 1, 1, 1, 2},
+		{"rollback cadence", 1, 7, 5, 3},
+		{"serial with kills", 1, 4, 5, 1},
+		{"no warm-up with kills", 0, 7, 5, 2},
 	}
+	want := map[int][]byte{}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			o := testOptions(1)
+			o.Fracs = []float64{0.7, 0.8, 0.9}
+			o.Warm = c.warm
+			o.Check = true
+			if want[c.warm] == nil {
+				want[c.warm] = runSweep(t, o)
+			}
 			ro := o
 			ro.Resilient = true
 			ro.KillEvery = c.killEvery
@@ -43,9 +48,9 @@ func TestResilientSweepMatchesDefault(t *testing.T) {
 			if err := sweep(ro, &out, &log); err != nil {
 				t.Fatalf("resilient sweep: %v\nlog:\n%s", err, log.String())
 			}
-			if !bytes.Equal(out.Bytes(), want) {
+			if !bytes.Equal(out.Bytes(), want[c.warm]) {
 				t.Errorf("resilient CSV differs from the default route:\n--- default ---\n%s--- resilient ---\n%s",
-					want, out.Bytes())
+					want[c.warm], out.Bytes())
 			}
 			if !strings.Contains(log.String(), "resilient sweep:") {
 				t.Errorf("no coordinator stats logged:\n%s", log.String())
@@ -57,10 +62,10 @@ func TestResilientSweepMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestResilientWarmstartMatchesScalar pins the snapshot-tree fork path:
+// TestResilientWarmstartMatchesScalar pins the warm-start fork path:
 // warm-started resilient sweeps (budget points forked from warm chip
-// snapshots recorded as tree roots) must match the scalar warm-started CSV
-// even while workers are being killed.
+// snapshots) must match the scalar warm-started CSV even while workers are
+// being killed.
 func TestResilientWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-started resilient sweep in -short mode")

@@ -6,8 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/cpm-sim/cpm/internal/core"
-	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
@@ -81,7 +80,7 @@ func TestParseBudgets(t *testing.T) {
 	if err != nil || len(got) != 3 || got[0] != 0.5 || got[2] != 0.95 {
 		t.Fatalf("parseBudgets = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "x", "0", "1.5", "0.5,,0.8"} {
+	for _, bad := range []string{"", "x", "0", "1.5", "0.5,,0.8", "NaN", "+Inf", "-Inf"} {
 		if _, err := parseBudgets(bad); err == nil {
 			t.Errorf("parseBudgets(%q) accepted", bad)
 		}
@@ -94,7 +93,7 @@ func TestParseSweepCLIValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.Mix.Name != "Mix-3" || o.Policy != "equal" || len(o.Fracs) != 2 ||
-		o.Warm != 2 || o.Epochs != 4 || !o.Check || !o.Parallel || !o.WarmStart || !o.Adaptive {
+		o.Warm != 2 || o.Epochs != 4 || !o.Check || !o.WarmStart || !o.Adaptive {
 		t.Errorf("options not threaded: %+v", o)
 	}
 }
@@ -184,6 +183,7 @@ func TestParseSweepCLIRejects(t *testing.T) {
 		{"bad mix", []string{"-mix", "nope"}, "nope"},
 		{"bad policy", []string{"-policy", "nope"}, "unknown policy"},
 		{"bad budget", []string{"-budgets", "1.5"}, "out of (0, 1]"},
+		{"NaN budget", []string{"-budgets", "0.8,NaN"}, "-budgets: budget NaN out of (0, 1]"},
 		{"empty budgets", []string{"-budgets", ""}, "bad budget"},
 	}
 	for _, c := range cases {
@@ -219,41 +219,32 @@ func TestSweepChecked(t *testing.T) {
 
 func TestMakePolicyNames(t *testing.T) {
 	for _, name := range []string{"performance", "equal", "variation", "thermal", "mpc", "cache"} {
-		p, err := makePolicy(name)
-		if err != nil || p == nil {
-			t.Errorf("makePolicy(%q) = %v, %v", name, p, err)
+		build, err := check.PolicyByName(name)
+		if err != nil {
+			t.Fatalf("policy %q: %v", name, err)
+		}
+		if p, err := build(); err != nil || p == nil {
+			t.Errorf("policy %q built %v, %v", name, p, err)
+		}
+		if _, err := parseSweepCLI([]string{"-policy", name}, io.Discard); err != nil {
+			t.Errorf("-policy %s rejected: %v", name, err)
 		}
 	}
-	if _, err := makePolicy("nope"); err == nil {
-		t.Error("makePolicy(\"nope\") accepted an unknown policy name")
+	if _, err := check.PolicyByName("nope"); err == nil {
+		t.Error("unknown policy name accepted")
 	}
 }
 
-// BenchmarkPoolSweep compares a serial 8-point sweep against the pooled
-// executor. Calibration and the unmanaged baseline are shared setup; the
-// benchmark isolates the per-budget-point fan-out. Island-level parallelism
-// is disabled so the two concurrency levels don't compete for cores.
+// BenchmarkPoolSweep compares a serial 8-point scalar sweep against the
+// pooled executor. Calibration is cached by the first iteration; the
+// benchmark isolates the fan-out of independent sessions.
 func BenchmarkPoolSweep(b *testing.B) {
-	o := testOptions(1)
-	o.Parallel = false
-	cfg := sim.DefaultConfig(o.Mix)
-	cfg.Seed = o.Seed
-	cfg.Parallel = o.Parallel
-	cal, err := core.Calibrate(cfg, 60, 240)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := measureUnmanaged(cfg, o.Warm, o.Epochs, false, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	run := func(b *testing.B, workers int) {
 		b.Helper()
-		o := o
-		o.Workers = workers
-		b.ResetTimer()
+		o := testOptions(workers)
+		o.Scalar = true
 		for i := 0; i < b.N; i++ {
-			if _, err := sweepRows(cfg, cal, base, o, nil); err != nil {
+			if err := sweep(o, io.Discard, io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -283,21 +274,24 @@ func TestSweepFarmMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm-vs-scalar sweep in -short mode")
 	}
-	o := testOptions(1)
-	o.Fracs = []float64{0.7, 0.8, 0.9}
-	o.Check = true
+	for _, warm := range []int{1, 0} {
+		o := testOptions(1)
+		o.Fracs = []float64{0.7, 0.8, 0.9}
+		o.Warm = warm
+		o.Check = true
 
-	so := o
-	so.Scalar = true
-	scalar := runSweep(t, so)
+		so := o
+		so.Scalar = true
+		scalar := runSweep(t, so)
 
-	for _, size := range []int{0, 1, 3} {
-		fo := o
-		fo.FarmSize = size
-		fo.Workers = 2
-		if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-			t.Errorf("farm-size=%d CSV differs from scalar route:\n--- scalar ---\n%s--- farm ---\n%s",
-				size, scalar, got)
+		for _, size := range []int{0, 1, 3} {
+			fo := o
+			fo.FarmSize = size
+			fo.Workers = 2
+			if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
+				t.Errorf("warm=%d farm-size=%d CSV differs from scalar route:\n--- scalar ---\n%s--- farm ---\n%s",
+					warm, size, scalar, got)
+			}
 		}
 	}
 }

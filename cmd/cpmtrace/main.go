@@ -16,10 +16,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"github.com/cpm-sim/cpm/internal/core"
-	"github.com/cpm-sim/cpm/internal/engine"
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/uarch"
@@ -107,49 +107,74 @@ func load(path string) (uarch.TraceSet, error) {
 	return uarch.LoadTraces(f)
 }
 
-func replay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+// replayArgs is the parsed, validated replay command line.
+type replayArgs struct {
+	mix    workload.Mix
+	in     string
+	budget float64
+	epochs int
+}
+
+// parseReplay parses and validates the replay flags. Every reject path is
+// an error, not an exit, so the validation is testable.
+func parseReplay(args []string, stderr io.Writer) (replayArgs, error) {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	mixName := fs.String("mix", "mix1", "application mix the trace was recorded from")
 	in := fs.String("i", "", "trace file")
-	budget := fs.Float64("budget", 0.8, "budget fraction of required power")
+	budget := fs.Float64("budget", 0.8, "budget fraction of required power, in (0, 1]")
 	epochs := fs.Int("epochs", 16, "measured GPM epochs")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return replayArgs{}, err
+	}
 	if *in == "" {
-		return fmt.Errorf("replay: -i is required")
+		return replayArgs{}, fmt.Errorf("replay: -i is required")
+	}
+	if !(*budget > 0 && *budget <= 1) { // also rejects NaN
+		return replayArgs{}, fmt.Errorf("replay: -budget %v out of (0, 1]", *budget)
+	}
+	if *epochs <= 0 {
+		return replayArgs{}, fmt.Errorf("replay: -epochs must be > 0, got %d", *epochs)
 	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
-		return err
+		return replayArgs{}, err
 	}
-	set, err := load(*in)
+	return replayArgs{mix: mix, in: *in, budget: *budget, epochs: *epochs}, nil
+}
+
+// replay runs the CPM run spec over a trace-driven chip: calibration comes
+// from the live chip the trace was recorded from, the run's cores replay
+// the recorded intervals.
+func replay(args []string) error {
+	a, err := parseReplay(args, os.Stderr)
 	if err != nil {
 		return err
 	}
-	cfg := sim.DefaultConfig(mix)
+	set, err := load(a.in)
+	if err != nil {
+		return err
+	}
+	sc := check.Scenario{
+		Name: "replay", Mix: func() workload.Mix { return a.mix },
+		BudgetFrac: a.budget, WarmEpochs: 6, MeasureEpochs: a.epochs,
+	}
+	const seed = 1
+	cfg := sc.BuildConfig(seed)
 	cfg.Parallel = true
-	cal, err := core.Calibrate(cfg, 60, 240)
-	if err != nil {
-		return err
-	}
 	cfg.Replay = &set
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		return err
 	}
-	c, err := core.New(cmp, core.Config{BudgetW: cal.BudgetW(*budget), Transducers: cal.Transducers})
-	if err != nil {
-		return err
-	}
 	rec := trace.NewRecorder("GPM epoch")
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs: 6, MeasureEpochs: *epochs, BudgetW: cal.BudgetW(*budget), Label: "replay",
-	}, rec)
+	s, _, err := sc.BuildOn(cmp, seed, rec)
 	if err != nil {
 		return err
 	}
 	sum := s.Run()
 	fmt.Printf("replayed %s under CPM at %.1f W (%.0f%%): mean %.1f W, %.2f BIPS\n",
-		*in, cal.BudgetW(*budget), *budget*100, sum.MeanPowerW, sum.MeanBIPS)
+		a.in, s.Info().BudgetW, a.budget*100, sum.MeanPowerW, sum.MeanBIPS)
 	fmt.Print(rec.Set().Chart(70, 12))
 	return nil
 }

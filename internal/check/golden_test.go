@@ -34,8 +34,8 @@ func TestGoldenScenarios(t *testing.T) {
 				t.Fatalf("scenario %s produced a degenerate summary: %+v", sc.Name, sum)
 			}
 			tr := g.Trace()
-			if tr.Epochs != sc.meas() {
-				t.Fatalf("scenario %s recorded %d epochs, want %d", sc.Name, tr.Epochs, sc.meas())
+			if tr.Epochs != sc.MeasureEpochs {
+				t.Fatalf("scenario %s recorded %d epochs, want %d", sc.Name, tr.Epochs, sc.MeasureEpochs)
 			}
 			path := goldenPath(sc.Name)
 			if *update {

@@ -59,7 +59,7 @@ func TestResilientKillEquivalenceAllScenarios(t *testing.T) {
 	}
 	wantKills := 0
 	for _, sc := range scenarios {
-		wantKills += (sc.warm() + sc.meas()) * 20
+		wantKills += (sc.WarmEpochs + sc.MeasureEpochs) * 20
 	}
 	st := c.Stats()
 	if st.Kills != wantKills {
@@ -100,7 +100,7 @@ func TestResilientRollbackCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	total := (scenarios[0].warm() + scenarios[0].meas()) * 20
+	total := (scenarios[0].WarmEpochs + scenarios[0].MeasureEpochs) * 20
 	if want := total / 7; st.Kills != want {
 		t.Errorf("kills = %d, want %d", st.Kills, want)
 	}

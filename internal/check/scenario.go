@@ -9,22 +9,31 @@ import (
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/gpm"
+	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/variation"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-// Scenario is one canonical end-to-end configuration pinned by the golden
-// harness. The set in Canonical covers every control path the paper
-// evaluates: the default two-tier CPM loop, the MaxBIPS baseline, the
-// thermal- and variation-aware provisioning policies, fault injection, a
-// second point on the budget axis, and the adaptive/predictive extensions
-// (adaptive-gain PIC, MPC-style GPM, cache-aware provisioning).
+// Scenario is the one run spec: a chip, a controller (CPM over per-island
+// PICs, the open-loop MaxBIPS baseline, or none), a budget as a fraction of
+// calibrated unmanaged power, and warm-up plus measured GPM epochs — the
+// run behind every §IV figure. Build/BuildOn are its one constructor; the
+// golden harness, cpmsim, cpmserve, cpmsweep, cpmtrace and the experiment
+// harnesses all assemble their sessions through it.
+//
+// The set in Canonical covers every control path the paper evaluates: the
+// default two-tier CPM loop, the MaxBIPS baseline, the thermal- and
+// variation-aware provisioning policies, fault injection, a second point on
+// the budget axis, and the adaptive/predictive extensions (adaptive-gain
+// PIC, MPC-style GPM, cache-aware provisioning).
 type Scenario struct {
-	// Name keys the golden file (testdata/golden/<Name>.json).
+	// Name keys the golden file (testdata/golden/<Name>.json) and labels
+	// the run: the session label and the telemetry "run" label.
 	Name string
 	// Mix builds the workload.
 	Mix func() workload.Mix
@@ -40,6 +49,9 @@ type Scenario struct {
 	// *predicted* power under budget, and the paper's point is precisely
 	// that its realized power overshoots.
 	MaxBIPS bool
+	// Unmanaged selects the no-power-management baseline: every island at
+	// the top DVFS level, no controller, no budget and no calibration.
+	Unmanaged bool
 	// Faults, when non-nil, injects the §"extension" fault plan.
 	Faults *core.FaultPlan
 	// GainScale multiplies the paper PID gains (0 or 1 = paper gains).
@@ -55,39 +67,34 @@ type Scenario struct {
 	// Classes, when non-nil, assigns per-island core classes — the
 	// big.LITTLE axis (sim.Config.IslandClasses).
 	Classes []power.CoreClass
-	// WarmEpochs/MeasureEpochs shape the run; zero means the canonical
-	// 2 warm + 4 measured epochs.
+	// IntervalSec is the PIC interval length (0 = the simulator's 2.5 ms);
+	// GPMPeriod is the number of PIC intervals per GPM epoch (0 = 20). They
+	// are the two axes of Figure 17.
+	IntervalSec float64
+	GPMPeriod   int
+	// WarmEpochs/MeasureEpochs shape the run, taken as written: a zero
+	// warm-up runs no warm intervals. Canonical spells out its 2 + 4.
 	WarmEpochs    int
 	MeasureEpochs int
-}
-
-func (s Scenario) warm() int {
-	if s.WarmEpochs > 0 {
-		return s.WarmEpochs
-	}
-	return 2
-}
-
-func (s Scenario) meas() int {
-	if s.MeasureEpochs > 0 {
-		return s.MeasureEpochs
-	}
-	return 4
+	// WarmState, when non-nil, is a chip snapshot restored into the chip
+	// before the stack is assembled — a warm-started run forks from it.
+	// The bytes are only read, so many runs may share one buffer.
+	WarmState []byte
+	// Metrics, when non-nil, attaches a telemetry observer labelled Name,
+	// wired to the built chip and (managed runs) its PICs.
+	Metrics *metrics.Registry
 }
 
 // Canonical returns the eleven pinned scenarios. Names are stable — they
 // key the golden files.
 func Canonical() []Scenario {
-	return []Scenario{
+	cs := []Scenario{
 		{Name: "cpm-default", Mix: workload.Mix1, BudgetFrac: 0.8},
 		{Name: "maxbips", Mix: workload.Mix1, BudgetFrac: 0.8, MaxBIPS: true},
 		{Name: "thermal-policy", Mix: workload.ThermalMix, BudgetFrac: 0.5, Policy: thermalPolicy},
 		{
 			Name: "variation-aware", Mix: workload.Mix1, BudgetFrac: 0.8,
-			Variation: variation.PaperIslands(2),
-			Policy: func() (gpm.Policy, error) {
-				return &gpm.VariationAware{StepFrac: 0.08, HoldIntervals: 1, MinShareFrac: 0.7}, nil
-			},
+			Variation: variation.PaperIslands(2), Policy: variationPolicy,
 		},
 		{
 			Name: "fault-noise", Mix: workload.Mix1, BudgetFrac: 0.8,
@@ -95,14 +102,8 @@ func Canonical() []Scenario {
 		},
 		{Name: "budget-60", Mix: workload.Mix1, BudgetFrac: 0.6},
 		{Name: "adaptive-pic", Mix: workload.Mix1, BudgetFrac: 0.8, Adaptive: true},
-		{
-			Name: "mpc-gpm", Mix: workload.Mix1, BudgetFrac: 0.8,
-			Policy: func() (gpm.Policy, error) { return &gpm.ModelPredictive{}, nil },
-		},
-		{
-			Name: "cache-aware", Mix: workload.Mix1, BudgetFrac: 0.7,
-			Policy: func() (gpm.Policy, error) { return &gpm.CacheAware{}, nil },
-		},
+		{Name: "mpc-gpm", Mix: workload.Mix1, BudgetFrac: 0.8, Policy: mpcPolicy},
+		{Name: "cache-aware", Mix: workload.Mix1, BudgetFrac: 0.7, Policy: cachePolicy},
 		{
 			Name: "hetero-biglittle", Mix: workload.Mix1, BudgetFrac: 0.8,
 			Classes: []power.CoreClass{
@@ -114,6 +115,10 @@ func Canonical() []Scenario {
 			Tech: power.TechConfig{Node: power.Node16, Variant: power.ITRS},
 		},
 	}
+	for i := range cs {
+		cs[i].WarmEpochs, cs[i].MeasureEpochs = 2, 4
+	}
+	return cs
 }
 
 // ScenarioNames lists the canonical scenario names, in Canonical order.
@@ -138,15 +143,42 @@ func ScenarioByName(name string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("check: unknown scenario %q (have %s)", name, strings.Join(ScenarioNames(), ", "))
 }
 
-// Defaults returns the effective warmup and measurement windows in GPM
-// epochs — the zero-value defaults resolved, so external layers (the serve
-// request normalizer) can content-address a run without duplicating them.
+// Defaults returns the run's warmup and measurement windows in GPM epochs,
+// so external layers (the serve request normalizer) can content-address a
+// run without duplicating them.
 func (s Scenario) Defaults() (warmEpochs, measureEpochs int) {
-	return s.warm(), s.meas()
+	return s.WarmEpochs, s.MeasureEpochs
 }
 
-// thermalPolicy builds the Figure 18 constraint set over a 2x4 floorplan,
-// matching the experiments harness.
+// namedPolicies is the one named GPM policy registry: cpmsweep -policy,
+// the canonical scenarios and the experiment harnesses build from it.
+var namedPolicies = []struct {
+	name  string
+	build func() (gpm.Policy, error)
+}{
+	{"performance", func() (gpm.Policy, error) { return &gpm.PerformanceAware{}, nil }},
+	{"equal", func() (gpm.Policy, error) { return gpm.EqualShare{}, nil }},
+	{"thermal", thermalPolicy},
+	{"variation", variationPolicy},
+	{"mpc", mpcPolicy},
+	{"cache", cachePolicy},
+}
+
+// PolicyByName returns the builder of a named GPM policy; the error lists
+// the valid names.
+func PolicyByName(name string) (func() (gpm.Policy, error), error) {
+	names := make([]string, len(namedPolicies))
+	for i, p := range namedPolicies {
+		if p.name == name {
+			return p.build, nil
+		}
+		names[i] = p.name
+	}
+	return nil, fmt.Errorf("check: unknown policy %q (have %s)", name, strings.Join(names, ", "))
+}
+
+// thermalPolicy builds the Figure 18 constraint set over the 2x4 floorplan
+// of single-core islands.
 func thermalPolicy() (gpm.Policy, error) {
 	fp, err := thermal.Grid(2, 4)
 	if err != nil {
@@ -162,17 +194,29 @@ func thermalPolicy() (gpm.Policy, error) {
 	}, nil
 }
 
-// scenarioCal caches calibrations across scenario runs in one process —
-// calibration dominates scenario cost and is identical for equal
-// (mix, variation, seed) keys.
+// variationPolicy builds the Figure 19 variation-aware greedy EPI policy.
+func variationPolicy() (gpm.Policy, error) {
+	return &gpm.VariationAware{StepFrac: 0.08, HoldIntervals: 1, MinShareFrac: 0.7}, nil
+}
+
+func mpcPolicy() (gpm.Policy, error)   { return &gpm.ModelPredictive{}, nil }
+func cachePolicy() (gpm.Policy, error) { return &gpm.CacheAware{}, nil }
+
+// scenarioCal caches calibrations across runs in one process — calibration
+// dominates a short run's cost and is identical for equal keys.
 var (
 	scenarioCalMu sync.Mutex
 	scenarioCal   = map[string]core.Calibration{}
 )
 
-func (s Scenario) calibrate(cfg sim.Config) (core.Calibration, error) {
-	key := fmt.Sprintf("%s/var=%d/seed=%d/tech=%s/classes=%v",
-		cfg.Mix.Name, s.Variation.Len(), cfg.Seed, cfg.Tech, cfg.IslandClasses)
+// Calibration returns the chip's offline identification at seed, cached
+// per process. The cache key holds every spec input calibration reads:
+// mix name and island layout, variation, seed, tech node, island classes
+// and interval length.
+func (s Scenario) Calibration(seed uint64) (core.Calibration, error) {
+	cfg := s.BuildConfig(seed)
+	key := fmt.Sprintf("%s%v/var=%v/seed=%d/tech=%s/classes=%v/interval=%g",
+		cfg.Mix.Name, cfg.Mix.Islands, cfg.Variation, cfg.Seed, cfg.Tech, cfg.IslandClasses, cfg.IntervalSec)
 	scenarioCalMu.Lock()
 	cal, ok := scenarioCal[key]
 	scenarioCalMu.Unlock()
@@ -207,54 +251,99 @@ func (s Scenario) Run(seed uint64, extra ...engine.Observer) (engine.Summary, *S
 // restored into a fresh one (checkpoint/resume, warm-started sweeps) and
 // continue bit-identically.
 func (s Scenario) Build(seed uint64, extra ...engine.Observer) (*engine.Session, *Suite, error) {
-	cfg := s.BuildConfig(seed)
-	cmp, err := sim.New(cfg)
+	cmp, err := sim.New(s.BuildConfig(seed))
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.assemble(cmp, cfg, extra...)
+	return s.BuildOn(cmp, seed, extra...)
 }
 
 // BuildConfig returns the chip configuration Build simulates for seed —
 // the input a farm needs to construct an equivalent record-driven chip.
+// The chip steps its islands sequentially, so results never depend on
+// GOMAXPROCS; a caller may set Parallel on the returned config before
+// building the chip itself for BuildOn.
 func (s Scenario) BuildConfig(seed uint64) sim.Config {
 	cfg := sim.DefaultConfig(s.Mix())
 	cfg.Seed = seed
-	cfg.Parallel = false // sequential: golden digests must not depend on GOMAXPROCS
+	cfg.Parallel = false
 	cfg.Variation = s.Variation
 	cfg.Tech = s.Tech
 	cfg.IslandClasses = s.Classes
+	if s.IntervalSec > 0 {
+		cfg.IntervalSec = s.IntervalSec
+	}
+	if s.Unmanaged {
+		cfg.InitialLevel = -1
+	}
 	return cfg
 }
 
 // BuildOn assembles the scenario's stack over a caller-supplied chip built
-// from BuildConfig(seed) — normally a farm member (sim.NewWithRecords), so
-// the pinned golden scenarios can be replayed through the batched path.
+// from BuildConfig(seed) — a farm member (sim.NewWithRecords), an
+// island-parallel chip, or a trace-replay chip. WarmState, when set, is
+// restored into the chip first. The stack carries its invariant suite and,
+// with Metrics set, its telemetry observer, ahead of extra.
 func (s Scenario) BuildOn(cmp *sim.CMP, seed uint64, extra ...engine.Observer) (*engine.Session, *Suite, error) {
-	return s.assemble(cmp, s.BuildConfig(seed), extra...)
-}
-
-// assemble calibrates (process-cached) and wires controller or baseline,
-// invariant suite and session around the chip.
-func (s Scenario) assemble(cmp *sim.CMP, cfg sim.Config, extra ...engine.Observer) (*engine.Session, *Suite, error) {
-	cal, err := s.calibrate(cfg)
+	if s.MaxBIPS && s.Unmanaged {
+		return nil, nil, fmt.Errorf("check: scenario %q is both MaxBIPS and unmanaged", s.Name)
+	}
+	if s.WarmState != nil {
+		if err := cmp.Restore(snapshot.NewDecoder(s.WarmState)); err != nil {
+			return nil, nil, fmt.Errorf("check: restoring %s warm state: %w", s.Name, err)
+		}
+	}
+	period := s.GPMPeriod
+	if period <= 0 {
+		period = 20
+	}
+	var (
+		runner engine.Runner
+		suite  *Suite
+		pics   []*pic.Controller
+		budget float64
+	)
+	if s.Unmanaged {
+		runner, suite = engine.NewChipRunner(cmp), All(ForChip(cmp, 0))
+	} else {
+		cal, err := s.Calibration(seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		budget = cal.BudgetW(s.BudgetFrac)
+		if s.MaxBIPS {
+			runner, suite, err = s.maxBIPS(cmp, budget, period)
+		} else {
+			runner, suite, pics, err = s.cpm(cmp, cal, budget, period)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	obs := []engine.Observer{suite}
+	if s.Metrics != nil {
+		obs = append(obs, metrics.NewObserver(s.Metrics, metrics.ObserverOptions{Label: s.Name, Chip: cmp, PICs: pics}))
+	}
+	sess, err := engine.NewSession(runner, engine.SessionConfig{
+		WarmEpochs:    s.WarmEpochs,
+		MeasureEpochs: s.MeasureEpochs,
+		Period:        period,
+		BudgetW:       budget,
+		Label:         s.Name,
+	}, append(obs, extra...)...)
 	if err != nil {
 		return nil, nil, err
 	}
-	budget := cal.BudgetW(s.BudgetFrac)
-
-	if s.MaxBIPS {
-		return s.buildMaxBIPS(cmp, budget, extra...)
-	}
-	return s.buildCPM(cmp, cal, budget, extra...)
+	return sess, suite, nil
 }
 
-func (s Scenario) buildCPM(cmp *sim.CMP, cal core.Calibration, budget float64, extra ...engine.Observer) (*engine.Session, *Suite, error) {
+// cpm wires the two-tier controller and its suite.
+func (s Scenario) cpm(cmp *sim.CMP, cal core.Calibration, budget float64, period int) (engine.Runner, *Suite, []*pic.Controller, error) {
 	var err error
 	var policy gpm.Policy
 	if s.Policy != nil {
 		if policy, err = s.Policy(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	gains := control.PaperGains
@@ -274,35 +363,42 @@ func (s Scenario) buildCPM(cmp *sim.CMP, cal core.Calibration, budget float64, e
 	ctl, err := core.New(cmp, core.Config{
 		BudgetW:     budget,
 		Policy:      policy,
-		GPMPeriod:   20,
+		GPMPeriod:   period,
 		Gains:       gains,
 		Transducers: cal.Transducers,
 		Faults:      s.Faults,
 		Adaptive:    adaptive,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	suite := ForCPM(ctl, budget)
-	sess, err := engine.NewSession(engine.NewCPMRunner(ctl), engine.SessionConfig{
-		WarmEpochs:    s.warm(),
-		MeasureEpochs: s.meas(),
-		Period:        20,
-		BudgetW:       budget,
-		Label:         s.Name,
-	}, append([]engine.Observer{suite}, extra...)...)
-	if err != nil {
-		return nil, nil, err
+	ccfg := ForChip(cmp, budget)
+	if breaksBudget(s.Faults) {
+		// A biased sensor, a stuck actuator or a skipped GPM epoch breaks
+		// the provisioning contract by design; every other invariant must
+		// still hold under it. Sensor noise alone keeps the check.
+		ccfg.BudgetW = 0
 	}
-	return sess, suite, nil
+	pics := make([]*pic.Controller, cmp.NumIslands())
+	for i := range pics {
+		pics[i] = ctl.PIC(i)
+	}
+	return engine.NewCPMRunner(ctl), ForCPMWithConfig(ctl, ccfg), pics, nil
 }
 
-func (s Scenario) buildMaxBIPS(cmp *sim.CMP, budget float64, extra ...engine.Observer) (*engine.Session, *Suite, error) {
+// breaksBudget reports whether a fault plan injects a fault that defeats
+// budget conservation.
+func breaksBudget(f *core.FaultPlan) bool {
+	return f != nil && ((f.UtilBiasMult != 0 && f.UtilBiasMult != 1) || f.StuckIsland >= 0 || f.DropGPMProb > 0)
+}
+
+// maxBIPS wires the static-table MaxBIPS baseline and its suite.
+func (s Scenario) maxBIPS(cmp *sim.CMP, budget float64, period int) (engine.Runner, *Suite, error) {
 	planner, err := engine.NewStaticPlanner(cmp)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := engine.NewMaxBIPSRunner(cmp, planner, budget, 20)
+	r, err := engine.NewMaxBIPSRunner(cmp, planner, budget, period)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -313,16 +409,5 @@ func (s Scenario) buildMaxBIPS(cmp *sim.CMP, budget float64, extra ...engine.Obs
 	ccfg := ForChip(cmp, budget)
 	ccfg.BudgetTolFrac = 0.25
 	ccfg.IslandTolFrac = 0.25
-	suite := All(ccfg)
-	sess, err := engine.NewSession(r, engine.SessionConfig{
-		WarmEpochs:    s.warm(),
-		MeasureEpochs: s.meas(),
-		Period:        20,
-		BudgetW:       budget,
-		Label:         s.Name,
-	}, append([]engine.Observer{suite}, extra...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sess, suite, nil
+	return r, All(ccfg), nil
 }

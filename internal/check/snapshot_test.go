@@ -50,7 +50,7 @@ func TestGoldenSnapshotResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			total := (sc.warm() + sc.meas()) * 20
+			total := (sc.WarmEpochs + sc.MeasureEpochs) * 20
 			mid := total/2 + 7 // mid-epoch, mid-run: the awkward split
 			if got := sess.RunIntervals(mid); got != mid {
 				t.Fatalf("ran %d of %d intervals", got, mid)

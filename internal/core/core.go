@@ -104,29 +104,6 @@ type CPM struct {
 	prevCache []sim.CacheStats
 
 	faults *faultState
-
-	stepHooks []func(StepResult)
-}
-
-// SetStepHook installs a callback invoked at the end of every Step with the
-// managed interval's outcome — the controller-layer attachment point for
-// observers. Set replaces every previously installed hook; a nil hook
-// detaches them all. Not safe to call concurrently with Step.
-func (c *CPM) SetStepHook(fn func(StepResult)) {
-	c.stepHooks = c.stepHooks[:0]
-	if fn != nil {
-		c.stepHooks = append(c.stepHooks, fn)
-	}
-}
-
-// AddStepHook appends a hook without disturbing the ones already installed,
-// so independent observers can subscribe to the same controller. The
-// StepResult aliases scratch buffers; hooks must Clone what they keep. A
-// nil hook is ignored. Not safe to call concurrently with Step.
-func (c *CPM) AddStepHook(fn func(StepResult)) {
-	if fn != nil {
-		c.stepHooks = append(c.stepHooks, fn)
-	}
 }
 
 // New wires a CPM over the given chip.
@@ -200,7 +177,7 @@ func (c *CPM) Chip() *sim.CMP { return c.cmp }
 func (c *CPM) Manager() *gpm.Manager { return c.mgr }
 
 // PIC returns island i's per-island controller, for attaching telemetry
-// hooks (see pic.Controller.SetInvokeHook).
+// hooks (see pic.Controller.AddInvokeHook).
 func (c *CPM) PIC(i int) *pic.Controller { return c.pic[i] }
 
 // AllocW returns the current per-island provisions in watts (live slice;
@@ -300,9 +277,6 @@ func (c *CPM) Step() StepResult {
 	c.haveMeas = true
 	c.interval++
 	res.Sim = r
-	for _, h := range c.stepHooks {
-		h(res)
-	}
 	return res
 }
 

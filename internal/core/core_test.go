@@ -311,3 +311,20 @@ func TestCalibrateValidation(t *testing.T) {
 		t.Error("too few measurement intervals should error")
 	}
 }
+
+func TestPICAccessor(t *testing.T) {
+	cfg := sim.DefaultConfig(workload.Mix1())
+	cmp, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(cmp, Config{BudgetW: 30, UseOraclePower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cmp.NumIslands(); i++ {
+		if c.PIC(i) == nil {
+			t.Fatalf("PIC(%d) is nil", i)
+		}
+	}
+}

@@ -49,14 +49,19 @@ func runManagedSteps(t testing.TB, parallel bool) []Step {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var steps []Step
 	s, err := NewSession(NewCPMRunner(ctl), SessionConfig{
-		WarmEpochs: 1, MeasureEpochs: 3, BudgetW: 28, KeepSteps: true,
-	})
+		WarmEpochs: 1, MeasureEpochs: 3, BudgetW: 28,
+	}, Funcs{OnStep: func(st Step) {
+		if st.Measured {
+			steps = append(steps, st.Clone())
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := s.Run()
-	return sum.Steps
+	s.Run()
+	return steps
 }
 
 // TestCrossExecutorDeterminism drives the same config + seed through the

@@ -110,10 +110,9 @@ func StaticPredictionTable(cmp *sim.CMP) [][]float64 {
 	return out
 }
 
-// NewPlanner builds an observation-driven (adaptive) MaxBIPS planner over
-// the chip's own per-island tables, so heterogeneous chips are planned on
-// the right axes.
-func NewPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
+// newPlanner builds a MaxBIPS planner over the chip's own per-island
+// tables, so heterogeneous chips are planned on the right axes.
+func newPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
 	tables := make([]*power.DVFSTable, cmp.NumIslands())
 	for i := range tables {
 		tables[i] = cmp.IslandTable(i)
@@ -126,7 +125,7 @@ func NewPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
 // constructor every driver (sweep, farm, serve, experiments) should use so
 // heterogeneous chips are planned on the right axes.
 func NewStaticPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
-	planner, err := NewPlanner(cmp)
+	planner, err := newPlanner(cmp)
 	if err != nil {
 		return nil, err
 	}

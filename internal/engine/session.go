@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// SessionConfig shapes one run: how long to warm up, how long to measure,
-// and what to keep.
+// SessionConfig shapes one run: how long to warm up and how long to
+// measure.
 type SessionConfig struct {
 	// WarmEpochs is the number of GPM epochs stepped before measurement
 	// (results discarded from the summary, still visible to observers).
@@ -20,8 +20,6 @@ type SessionConfig struct {
 	// feeds Epoch events and the summary's worst-epoch overshoot. Zero for
 	// unmanaged runs.
 	BudgetW float64
-	// KeepSteps records every measured interval in Summary.Steps.
-	KeepSteps bool
 	// Label names the run in RunInfo.
 	Label string
 }
@@ -54,8 +52,6 @@ type Summary struct {
 	// AllocTrace records the allocation vector at every measured GPM
 	// invocation (managed runs only).
 	AllocTrace [][]float64
-	// Steps records every measured interval (set SessionConfig.KeepSteps).
-	Steps []Step
 }
 
 // runProgress is the mutable mid-run state of a Session: the interval
@@ -183,9 +179,6 @@ func (s *Session) stepOne() {
 
 	st := s.runner.Step()
 	st.Measured = true
-	if s.cfg.KeepSteps {
-		sum.Steps = append(sum.Steps, st.Clone())
-	}
 	if st.AllocW != nil {
 		p.managed = true
 		p.lastAlloc = append(p.lastAlloc[:0], st.AllocW...)

@@ -151,7 +151,7 @@ func TestSessionManagedObservers(t *testing.T) {
 	}
 	s, err := NewSession(r, SessionConfig{
 		WarmEpochs: warm, MeasureEpochs: meas, Period: period, BudgetW: 30,
-		KeepSteps: true, Label: "cpm",
+		Label: "cpm",
 	}, obs)
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +172,6 @@ func TestSessionManagedObservers(t *testing.T) {
 	}
 	if lastInfo.Islands != 4 || lastInfo.Cores != 8 || lastInfo.BudgetW != 30 || lastInfo.Label != "cpm" {
 		t.Errorf("bad RunInfo: %+v", lastInfo)
-	}
-	if len(sum.Steps) != meas*period {
-		t.Errorf("KeepSteps recorded %d steps, want %d", len(sum.Steps), meas*period)
 	}
 	if len(sum.AllocTrace) != meas {
 		t.Errorf("AllocTrace has %d entries, want %d (one per measured GPM invocation)", len(sum.AllocTrace), meas)

@@ -137,16 +137,12 @@ func decodeRunnerHead(d *snapshot.Decoder, wantKind uint8) (k int, err error) {
 // Snapshot appends the session's complete state between intervals: a
 // configuration echo, the runner (chip included), the interval cursor, the
 // summary under construction and the epoch accumulators. The runner must
-// implement SnapshotRunner; sessions recording raw steps
-// (SessionConfig.KeepSteps) and sessions that have not started or have
-// already finished are not checkpointable.
+// implement SnapshotRunner; sessions that have not started or have already
+// finished are not checkpointable.
 func (s *Session) Snapshot(e *snapshot.Encoder) error {
 	sr, ok := s.runner.(SnapshotRunner)
 	if !ok {
 		return errors.New("engine: runner does not support snapshots")
-	}
-	if s.cfg.KeepSteps {
-		return errors.New("engine: KeepSteps sessions are not checkpointable")
 	}
 	if s.prog == nil {
 		return errors.New("engine: session not started; snapshot the chip instead")
@@ -198,9 +194,6 @@ func (s *Session) Restore(d *snapshot.Decoder) error {
 	sr, ok := s.runner.(SnapshotRunner)
 	if !ok {
 		return errors.New("engine: runner does not support snapshots")
-	}
-	if s.cfg.KeepSteps {
-		return errors.New("engine: KeepSteps sessions are not checkpointable")
 	}
 	if s.prog != nil {
 		return errors.New("engine: session already started")

@@ -32,22 +32,24 @@ func init() {
 var budgetSweep = []float64{0.50, 0.60, 0.70, 0.80, 0.90, 0.95}
 
 func runFig11(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
-	meas := o.epochs(16)
+	sc.MeasureEpochs = o.epochs(16)
 	set := trace.NewSet("budget (% of required power)")
 	var rows [][]string
 	var worstOurGap, worstOurOver float64
 	maxbipsAlwaysBelow := true
 	for _, frac := range budgetSweep {
 		budget := cal.BudgetW(frac)
-		ours, err := runCPM(cfg, cal, cpmParams{budgetW: budget, warmEpochs: 6, measEpochs: meas, opts: o})
+		sc.BudgetFrac = frac
+		ours, err := o.run(sc)
 		if err != nil {
 			return Result{}, err
 		}
-		mb, err := runMaxBIPS(cfg, budget, 20, 6, meas, true, o)
+		mb, err := o.run(maxBIPS(sc))
 		if err != nil {
 			return Result{}, err
 		}
@@ -95,12 +97,9 @@ func runFig11(o Options) (Result, error) {
 }
 
 func runFig12(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	meas := o.epochs(16)
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	sc := spec(workload.Mix1())
+	sc.MeasureEpochs = o.epochs(16)
+	base, err := o.run(unmanaged(sc))
 	if err != nil {
 		return Result{}, err
 	}
@@ -108,7 +107,8 @@ func runFig12(o Options) (Result, error) {
 	var rows [][]string
 	degr := map[float64]float64{}
 	for _, frac := range budgetSweep {
-		ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(frac), warmEpochs: 6, measEpochs: meas, opts: o})
+		sc.BudgetFrac = frac
+		ours, err := o.run(sc)
 		if err != nil {
 			return Result{}, err
 		}
@@ -136,17 +136,14 @@ func runFig12(o Options) (Result, error) {
 }
 
 func runFig14(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	meas := o.epochs(24)
-	ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(1.0), warmEpochs: 6, measEpochs: meas, opts: o})
+	sc := spec(workload.Mix1())
+	sc.BudgetFrac, sc.MeasureEpochs = 1.0, o.epochs(24)
+	ours, err := o.run(sc)
 	if err != nil {
 		return Result{}, err
 	}
 	// Unmanaged over the identical window (same seed, so epochs align).
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	base, err := o.run(unmanaged(sc))
 	if err != nil {
 		return Result{}, err
 	}

@@ -14,13 +14,9 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/metrics"
-	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/trace"
-	"github.com/cpm-sim/cpm/internal/workload"
 )
 
 // Options tune a harness run.
@@ -30,10 +26,11 @@ type Options struct {
 	// Quick shortens horizons for use in tests and smoke runs; the shapes
 	// asserted by the test suite hold in both modes.
 	Quick bool
-	// Check attaches the internal/check invariant suite to every run the
-	// harness executes; a violation fails the harness with a structured
-	// report. Fault-injection runs keep every check except budget
-	// conservation, which the injected fault deliberately breaks.
+	// Check fails the harness with a structured report when a run violates
+	// the internal/check invariant suite every run carries. Runs whose
+	// fault plan biases a sensor, sticks an actuator or drops GPM epochs
+	// keep every check except budget conservation, which those faults
+	// deliberately break.
 	Check bool
 	// Metrics, when non-nil, attaches a metrics.Observer to every run the
 	// harness executes, aggregating its telemetry into the registry. Runs
@@ -127,48 +124,6 @@ func ByID(id string) (Definition, error) {
 		}
 	}
 	return Definition{}, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// --- shared setup -----------------------------------------------------------
-
-// calKey caches calibrations, which dominate harness cost and are identical
-// across the many experiments sharing a (mix, seed, interval) combination.
-type calKey struct {
-	mix      string
-	seed     uint64
-	interval float64
-	cores    int
-}
-
-var (
-	calMu    sync.Mutex
-	calCache = map[calKey]core.Calibration{}
-)
-
-// setup builds the simulator config for a mix and returns it with its
-// (cached) calibration.
-func setup(mix workload.Mix, o Options, intervalSec float64) (sim.Config, core.Calibration, error) {
-	cfg := sim.DefaultConfig(mix)
-	cfg.Seed = o.seed()
-	cfg.Parallel = true
-	if intervalSec > 0 {
-		cfg.IntervalSec = intervalSec
-	}
-	key := calKey{mix: mix.Name, seed: cfg.Seed, interval: cfg.IntervalSec, cores: mix.Cores()}
-	calMu.Lock()
-	cal, ok := calCache[key]
-	calMu.Unlock()
-	if !ok {
-		var err error
-		cal, err = core.Calibrate(cfg, 60, 240)
-		if err != nil {
-			return sim.Config{}, core.Calibration{}, err
-		}
-		calMu.Lock()
-		calCache[key] = cal
-		calMu.Unlock()
-	}
-	return cfg, cal, nil
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }

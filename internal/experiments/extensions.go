@@ -39,19 +39,19 @@ func init() {
 // runExt1 sweeps the performance floor of the energy-aware policy and
 // reports the energy/performance frontier it traces.
 func runExt1(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
-	meas := o.epochs(20)
+	sc.BudgetFrac, sc.WarmEpochs, sc.MeasureEpochs = 1.0, 8, o.epochs(20)
 	var rows [][]string
 	set := trace.NewSet("performance floor (% of unmanaged)")
 	metrics := map[string]float64{}
 	for _, floor := range []float64{0.85, 0.90, 0.95} {
-		policy := &gpm.EnergyAware{FloorBIPS: floor * cal.UnmanagedBIPS}
-		sum, err := runCPM(cfg, cal, cpmParams{
-			budgetW: cal.BudgetW(1.0), policy: policy, warmEpochs: 8, measEpochs: meas, opts: o,
-		})
+		floorBIPS := floor * cal.UnmanagedBIPS
+		sc.Policy = func() (gpm.Policy, error) { return &gpm.EnergyAware{FloorBIPS: floorBIPS}, nil }
+		sum, err := o.run(sc)
 		if err != nil {
 			return Result{}, err
 		}
@@ -84,12 +84,13 @@ func runExt1(o Options) (Result, error) {
 // runExt2 measures budget tracking under the fault plans of
 // core.FaultPlan.
 func runExt2(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
 	budget := cal.BudgetW(0.8)
-	meas := o.epochs(16)
+	sc.BudgetFrac, sc.WarmEpochs, sc.MeasureEpochs = 0.8, 7, o.epochs(16)
 	cases := []struct {
 		name string
 		plan *core.FaultPlan
@@ -103,9 +104,8 @@ func runExt2(o Options) (Result, error) {
 	var rows [][]string
 	metrics := map[string]float64{}
 	for i, cse := range cases {
-		sum, err := runCPM(cfg, cal, cpmParams{
-			budgetW: budget, warmEpochs: 7, measEpochs: meas, faults: cse.plan, opts: o,
-		})
+		sc.Faults = cse.plan
+		sum, err := o.run(sc)
 		if err != nil {
 			return Result{}, err
 		}
@@ -129,21 +129,20 @@ func runExt2(o Options) (Result, error) {
 // runExt3 compares the paper's Eq. 4 cube-root expectation against the
 // elasticity-calibrated exponent end to end.
 func runExt3(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
-	budget := cal.BudgetW(0.8)
-	meas := o.epochs(16)
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	sc.BudgetFrac, sc.MeasureEpochs = 0.8, o.epochs(16)
+	base, err := o.run(unmanaged(sc))
 	if err != nil {
 		return Result{}, err
 	}
 	run := func(exponent float64) (float64, float64, error) {
-		sum, err := runCPM(cfg, cal, cpmParams{
-			budgetW: budget, warmEpochs: 6, measEpochs: meas, opts: o,
-			policy: &gpm.PerformanceAware{PowerExponent: exponent},
-		})
+		sc := sc
+		sc.Policy = func() (gpm.Policy, error) { return &gpm.PerformanceAware{PowerExponent: exponent}, nil }
+		sum, err := o.run(sc)
 		if err != nil {
 			return 0, 0, err
 		}

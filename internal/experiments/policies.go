@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/cpm-sim/cpm/internal/core"
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/gpm"
-	"github.com/cpm-sim/cpm/internal/sim"
-	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/variation"
 	"github.com/cpm-sim/cpm/internal/workload"
@@ -28,30 +26,27 @@ func init() {
 	})
 }
 
-// thermalPolicyFor builds the Figure 18 constraint set over the 2x4
-// floorplan of single-core islands.
-func thermalPolicyFor() (*gpm.ThermalAware, error) {
-	fp, err := thermal.Grid(2, 4)
+// thermalViolations counts the Figure 18 constraint breaches in an
+// allocation trace, judged by a fresh instance of the registry's
+// thermal-aware policy.
+func thermalViolations(budgetW float64, allocTrace [][]float64) (int, error) {
+	build, err := check.PolicyByName("thermal")
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &gpm.ThermalAware{
-		Base:                 &gpm.PerformanceAware{},
-		Floorplan:            fp,
-		AdjacentPairCap:      0.30,
-		ConsecutiveLimit:     2,
-		SoloCap:              0.20,
-		SoloConsecutiveLimit: 4,
-	}, nil
+	p, err := build()
+	if err != nil {
+		return 0, err
+	}
+	return p.(*gpm.ThermalAware).Violations(budgetW, allocTrace), nil
 }
 
 func runFig18(o Options) (Result, error) {
-	mix := workload.ThermalMix()
-	cfg, cal, err := setup(mix, o, 0)
+	sc := spec(workload.ThermalMix())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
-	meas := o.epochs(20)
 	// A tight budget (50% of required power) is what makes hotspot
 	// formation possible at all: the performance-aware policy can then
 	// concentrate a large share of the (small) budget on two adjacent
@@ -59,38 +54,32 @@ func runFig18(o Options) (Result, error) {
 	// consumption ceiling.
 	const budgetFrac = 0.5
 	budget := cal.BudgetW(budgetFrac)
+	sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, o.epochs(20)
 
-	base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+	base, err := o.run(unmanaged(sc))
 	if err != nil {
 		return Result{}, err
 	}
-	perf, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: &gpm.PerformanceAware{}, warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	perf, err := o.run(sc)
 	if err != nil {
 		return Result{}, err
 	}
-	thermalPolicy, err := thermalPolicyFor()
-	if err != nil {
+	if sc.Policy, err = check.PolicyByName("thermal"); err != nil {
 		return Result{}, err
 	}
-	therm, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: thermalPolicy, warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	therm, err := o.run(sc)
 	if err != nil {
 		return Result{}, err
 	}
 
-	checker, err := thermalPolicyFor()
+	perfViolations, err := thermalViolations(budget, perf.AllocTrace)
 	if err != nil {
 		return Result{}, err
 	}
-	perfViolations := checker.Violations(budget, perf.AllocTrace)
-	checker2, err := thermalPolicyFor()
+	thermViolations, err := thermalViolations(budget, therm.AllocTrace)
 	if err != nil {
 		return Result{}, err
 	}
-	thermViolations := checker2.Violations(budget, therm.AllocTrace)
 	violFrac := 0.0
 	if len(perf.AllocTrace) > 0 {
 		violFrac = float64(perfViolations) / float64(len(perf.AllocTrace))
@@ -124,33 +113,23 @@ func runFig18(o Options) (Result, error) {
 }
 
 func runFig19(o Options) (Result, error) {
-	mix := workload.Mix1()
 	// Apply the §IV-B intra-die variation: islands 1-3 leak 1.2x, 1.5x, 2x
 	// relative to island 4. The chip is calibrated *with* its variation, as
 	// any real per-die characterization would be — a 2x-leakage island's
 	// power-per-level table differs materially from the nominal one.
-	cfg := sim.DefaultConfig(mix)
-	cfg.Seed = o.seed()
-	cfg.Parallel = true
-	cfg.Variation = variation.PaperIslands(2)
-	cal, err := calibrateFor(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	meas := o.epochs(20)
 	const budgetFrac = 0.8
-	budget := cal.BudgetW(budgetFrac)
+	sc := spec(workload.Mix1())
+	sc.Variation = variation.PaperIslands(2)
+	sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, o.epochs(20)
 
-	perf, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: &gpm.PerformanceAware{}, warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	perf, err := o.run(sc)
 	if err != nil {
 		return Result{}, err
 	}
-	va, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, policy: &gpm.VariationAware{StepFrac: 0.08, HoldIntervals: 1, MinShareFrac: 0.7},
-		warmEpochs: 6, measEpochs: meas, opts: o,
-	})
+	if sc.Policy, err = check.PolicyByName("variation"); err != nil {
+		return Result{}, err
+	}
+	va, err := o.run(sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -191,25 +170,4 @@ func runFig19(o Options) (Result, error) {
 		Text:    b.String(),
 		Metrics: metrics,
 	}, nil
-}
-
-// calibrateFor runs (and caches) a calibration for an explicit simulator
-// configuration, for experiments whose chip differs from the plain mix
-// (e.g. process variation applied).
-func calibrateFor(cfg sim.Config) (core.Calibration, error) {
-	key := calKey{mix: cfg.Mix.Name + "+var", seed: cfg.Seed, interval: cfg.IntervalSec, cores: cfg.Mix.Cores()}
-	calMu.Lock()
-	cal, ok := calCache[key]
-	calMu.Unlock()
-	if ok {
-		return cal, nil
-	}
-	cal, err := core.Calibrate(cfg, 60, 240)
-	if err != nil {
-		return core.Calibration{}, err
-	}
-	calMu.Lock()
-	calCache[key] = cal
-	calMu.Unlock()
-	return cal, nil
 }

@@ -4,209 +4,64 @@ import (
 	"fmt"
 
 	"github.com/cpm-sim/cpm/internal/check"
-	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
-	"github.com/cpm-sim/cpm/internal/gpm"
-	"github.com/cpm-sim/cpm/internal/metrics"
-	"github.com/cpm-sim/cpm/internal/pic"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-// runSummary is the engine's run summary; the experiments previously
-// aggregated this by hand in three bespoke loops.
+// runSummary is the engine's run summary.
 type runSummary = engine.Summary
 
-// cpmParams configures a managed run.
-type cpmParams struct {
-	budgetW     float64
-	policy      gpm.Policy
-	gpmPeriod   int
-	warmEpochs  int
-	measEpochs  int
-	keepSteps   bool
-	oraclePower bool
-	faults      *core.FaultPlan
-	// adaptive runs the PICs with the adaptive-gain estimator.
-	adaptive *pic.AdaptiveConfig
-	// observers watch the run as it executes (engine.Observer fan-out).
-	observers []engine.Observer
-	// opts carries the harness Options through to the run: Check attaches
-	// the standard invariant suite and fails the run on any violation;
-	// Metrics attaches a telemetry observer writing into the registry.
-	opts Options
+// spec returns the run spec a harness run starts from: mix with the
+// six-epoch warm-up most figures use. Callers set the budget, windows,
+// policy and baseline kind on the copy they run.
+func spec(mix workload.Mix) check.Scenario {
+	return check.Scenario{Mix: func() workload.Mix { return mix }, WarmEpochs: 6}
 }
 
-// metricsObserver builds the telemetry observer for a run, or nil when the
-// harness was not given a registry.
-func metricsObserver(reg *metrics.Registry, label string, cmp *sim.CMP, pics []*pic.Controller) engine.Observer {
-	if reg == nil {
-		return nil
-	}
-	return metrics.NewObserver(reg, metrics.ObserverOptions{Label: label, Chip: cmp, PICs: pics})
-}
+// unmanaged and maxBIPS turn a spec into the matching baseline over the
+// same chip and window (same seed, same phases), so instruction counts are
+// directly comparable.
+func unmanaged(sc check.Scenario) check.Scenario { sc.Unmanaged = true; return sc }
+func maxBIPS(sc check.Scenario) check.Scenario   { sc.MaxBIPS = true; return sc }
 
-// runCPM executes a CPM-managed run and summarises its measurement window.
-func runCPM(cfg sim.Config, cal core.Calibration, p cpmParams) (runSummary, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return runSummary{}, err
-	}
-	period := p.gpmPeriod
-	if period <= 0 {
-		period = 20
-	}
-	c, err := core.New(cmp, core.Config{
-		BudgetW:        p.budgetW,
-		Policy:         p.policy,
-		GPMPeriod:      period,
-		Transducers:    cal.Transducers,
-		UseOraclePower: p.oraclePower,
-		Faults:         p.faults,
-		Adaptive:       p.adaptive,
-	})
-	if err != nil {
-		return runSummary{}, err
-	}
-	obs := append([]engine.Observer(nil), p.observers...)
-	var suite *check.Suite
-	if p.opts.Check {
-		ccfg := check.ForChip(cmp, p.budgetW)
-		if p.faults != nil {
-			// The injected fault deliberately breaks provisioning; every
-			// other invariant must still hold under it.
-			ccfg.BudgetW = 0
-		}
-		suite = check.ForCPMWithConfig(c, ccfg)
-		obs = append(obs, suite)
-	}
-	if m := metricsObserver(p.opts.Metrics, fmt.Sprintf("cpm-%.2fW", p.budgetW), cmp, picsOf(cmp, c)); m != nil {
-		obs = append(obs, m)
-	}
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs:    p.warmEpochs,
-		MeasureEpochs: p.measEpochs,
-		Period:        period,
-		BudgetW:       p.budgetW,
-		KeepSteps:     p.keepSteps,
-		Label:         "cpm",
-	}, obs...)
-	if err != nil {
-		return runSummary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("cpm run (budget %.1f W): %w", p.budgetW, err)
-		}
-	}
-	return sum, nil
-}
-
-// runMaxBIPS executes the MaxBIPS baseline: every GPM period the planner
-// picks the level combination maximizing predicted BIPS under the budget.
-// With static true (the paper's setup, used by every comparison figure),
-// predictions come from a workload-blind static characterization table; the
-// adaptive mode predicts from last-epoch per-island observations (the
-// original Isci et al. formulation) and is kept for ablations.
-func runMaxBIPS(cfg sim.Config, budgetW float64, gpmPeriod, warmEpochs, measEpochs int, static bool, o Options) (runSummary, error) {
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return runSummary{}, err
-	}
-	planner, err := engine.NewPlanner(cmp)
-	if err != nil {
-		return runSummary{}, err
-	}
-	if static {
-		if err := planner.SetStaticTable(engine.StaticPredictionTable(cmp)); err != nil {
+// run executes sc at the harness seed and summarises its measurement
+// window. The chip runs the island-parallel executor: harnesses run one
+// session at a time, so it is their parallelism. Under Options.Check an
+// invariant violation fails the run; with Options.Metrics the run records
+// telemetry labelled by kind and absolute budget ("cpm-24.00W",
+// "maxbips-24.00W", "unmanaged").
+func (o Options) run(sc check.Scenario, extra ...engine.Observer) (runSummary, error) {
+	seed := o.seed()
+	sc.Name = "unmanaged"
+	if !sc.Unmanaged {
+		cal, err := sc.Calibration(seed)
+		if err != nil {
 			return runSummary{}, err
 		}
-	}
-	period := gpmPeriod
-	if period <= 0 {
-		period = 20
-	}
-	r, err := engine.NewMaxBIPSRunner(cmp, planner, budgetW, period)
-	if err != nil {
-		return runSummary{}, err
-	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		// MaxBIPS plans open-loop from predictions; realized power
-		// overshooting the budget is the paper's result for it, not a bug,
-		// so its budget tolerance is widened to the reported ~20%.
-		ccfg := check.ForChip(cmp, budgetW)
-		ccfg.BudgetTolFrac = 0.25
-		ccfg.IslandTolFrac = 0.25
-		suite = check.All(ccfg)
-		obs = append(obs, suite)
-	}
-	if m := metricsObserver(o.Metrics, fmt.Sprintf("maxbips-%.2fW", budgetW), cmp, nil); m != nil {
-		obs = append(obs, m)
-	}
-	s, err := engine.NewSession(r, engine.SessionConfig{
-		WarmEpochs:    warmEpochs,
-		MeasureEpochs: measEpochs,
-		Period:        period,
-		BudgetW:       budgetW,
-		Label:         "maxbips",
-	}, obs...)
-	if err != nil {
-		return runSummary{}, err
-	}
-	sum := s.Run()
-	if suite != nil {
-		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("maxbips run (budget %.1f W): %w", budgetW, err)
+		sc.Name = fmt.Sprintf("cpm-%.2fW", cal.BudgetW(sc.BudgetFrac))
+		if sc.MaxBIPS {
+			sc.Name = fmt.Sprintf("maxbips-%.2fW", cal.BudgetW(sc.BudgetFrac))
 		}
 	}
-	return sum, nil
-}
-
-// runUnmanagedWindow measures the no-power-management baseline over exactly
-// the same interval window as a managed run (same seed, same phases), so
-// instruction counts are directly comparable.
-func runUnmanagedWindow(cfg sim.Config, warmEpochs, measEpochs, gpmPeriod int, o Options) (runSummary, error) {
-	cfg.InitialLevel = -1
+	sc.Metrics = o.Metrics
+	cfg := sc.BuildConfig(seed)
+	cfg.Parallel = true
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		return runSummary{}, err
 	}
-	var obs []engine.Observer
-	var suite *check.Suite
-	if o.Check {
-		suite = check.All(check.ForChip(cmp, 0))
-		obs = append(obs, suite)
-	}
-	if m := metricsObserver(o.Metrics, "unmanaged", cmp, nil); m != nil {
-		obs = append(obs, m)
-	}
-	s, err := engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-		WarmEpochs:    warmEpochs,
-		MeasureEpochs: measEpochs,
-		Period:        gpmPeriod,
-		Label:         "unmanaged",
-	}, obs...)
+	sess, suite, err := sc.BuildOn(cmp, seed, extra...)
 	if err != nil {
 		return runSummary{}, err
 	}
-	sum := s.Run()
-	if suite != nil {
+	sum := sess.Run()
+	if o.Check {
 		if err := suite.Err(); err != nil {
-			return sum, fmt.Errorf("unmanaged run: %w", err)
+			return sum, fmt.Errorf("%s run: %w", sc.Name, err)
 		}
 	}
 	return sum, nil
-}
-
-// picsOf collects the managed chip's per-island controllers for telemetry.
-func picsOf(cmp *sim.CMP, c *core.CPM) []*pic.Controller {
-	out := make([]*pic.Controller, cmp.NumIslands())
-	for i := range out {
-		out[i] = c.PIC(i)
-	}
-	return out
 }
 
 // degradation returns the throughput loss of run vs baseline as a fraction.

@@ -46,19 +46,17 @@ func runFig13(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		cfg, cal, err := setup(mix, o, 0)
+		sc := spec(mix)
+		sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, meas
+		base, err := o.run(unmanaged(sc))
 		if err != nil {
 			return Result{}, err
 		}
-		base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+		ours, err := o.run(sc)
 		if err != nil {
 			return Result{}, err
 		}
-		ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(budgetFrac), warmEpochs: 6, measEpochs: meas, opts: o})
-		if err != nil {
-			return Result{}, err
-		}
-		mb, err := runMaxBIPS(cfg, cal.BudgetW(budgetFrac), 20, 6, meas, true, o)
+		mb, err := o.run(maxBIPS(sc))
 		if err != nil {
 			return Result{}, err
 		}
@@ -94,21 +92,19 @@ func runFig15(o Options) (Result, error) {
 	var rows [][]string
 	for _, replicas := range []int{1, 2} {
 		cores := 16 * replicas
-		mix := workload.Mix3(replicas)
-		cfg, cal, err := setup(mix, o, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
+		sc := spec(workload.Mix3(replicas))
+		sc.MeasureEpochs = meas
+		base, err := o.run(unmanaged(sc))
 		if err != nil {
 			return Result{}, err
 		}
 		for _, frac := range budgets {
-			ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(frac), warmEpochs: 6, measEpochs: meas, opts: o})
+			sc.BudgetFrac = frac
+			ours, err := o.run(sc)
 			if err != nil {
 				return Result{}, err
 			}
-			mb, err := runMaxBIPS(cfg, cal.BudgetW(frac), 20, 6, meas, true, o)
+			mb, err := o.run(maxBIPS(sc))
 			if err != nil {
 				return Result{}, err
 			}
@@ -145,15 +141,13 @@ func runFig16(o Options) (Result, error) {
 	for _, frac := range budgetSweep {
 		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
 		for _, mix := range []workload.Mix{workload.Mix1(), workload.Mix2()} {
-			cfg, cal, err := setup(mix, o, 0)
+			sc := spec(mix)
+			sc.BudgetFrac, sc.MeasureEpochs = frac, meas
+			base, err := o.run(unmanaged(sc))
 			if err != nil {
 				return Result{}, err
 			}
-			base, err := runUnmanagedWindow(cfg, 6, meas, 20, o)
-			if err != nil {
-				return Result{}, err
-			}
-			ours, err := runCPM(cfg, cal, cpmParams{budgetW: cal.BudgetW(frac), warmEpochs: 6, measEpochs: meas, opts: o})
+			ours, err := o.run(sc)
 			if err != nil {
 				return Result{}, err
 			}
@@ -192,20 +186,15 @@ func runFig17(o Options) (Result, error) {
 		}
 		row := []string{fmt.Sprintf("%d core/island", size)}
 		for _, picMs := range []float64{2.5, 5.0} {
-			interval := picMs / 1000
-			period := int(50/picMs + 0.5) // keep T_global at 50 ms
-			cfg, cal, err := setup(mix, o, interval)
+			sc := spec(mix)
+			sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, meas
+			sc.IntervalSec = picMs / 1000
+			sc.GPMPeriod = int(50/picMs + 0.5) // keep T_global at 50 ms
+			base, err := o.run(unmanaged(sc))
 			if err != nil {
 				return Result{}, err
 			}
-			base, err := runUnmanagedWindow(cfg, 6, meas, period, o)
-			if err != nil {
-				return Result{}, err
-			}
-			ours, err := runCPM(cfg, cal, cpmParams{
-				budgetW: cal.BudgetW(budgetFrac), gpmPeriod: period,
-				warmEpochs: 6, measEpochs: meas, opts: o,
-			})
+			ours, err := o.run(sc)
 			if err != nil {
 				return Result{}, err
 			}

@@ -5,8 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"github.com/cpm-sim/cpm/internal/gpm"
-	"github.com/cpm-sim/cpm/internal/pic"
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -62,14 +61,14 @@ func runScorecard(o Options) (Result, error) {
 	type config struct {
 		key      string
 		label    string
-		policy   func() gpm.Policy
+		policy   string // registry name; "" = the paper's performance-aware default
 		adaptive bool
 	}
 	configs := []config{
-		{key: "fixed", label: "fixed-gain PIC (baseline)", policy: nil},
-		{key: "adaptive", label: "adaptive-gain PIC", policy: nil, adaptive: true},
-		{key: "mpc", label: "MPC-style GPM", policy: func() gpm.Policy { return &gpm.ModelPredictive{} }},
-		{key: "cache", label: "cache-aware GPM", policy: func() gpm.Policy { return &gpm.CacheAware{} }},
+		{key: "fixed", label: "fixed-gain PIC (baseline)"},
+		{key: "adaptive", label: "adaptive-gain PIC", adaptive: true},
+		{key: "mpc", label: "MPC-style GPM", policy: "mpc"},
+		{key: "cache", label: "cache-aware GPM", policy: "cache"},
 	}
 
 	var b strings.Builder
@@ -78,22 +77,24 @@ func runScorecard(o Options) (Result, error) {
 	for _, mix := range []workload.Mix{workload.Mix1(), workload.Mix2()} {
 		// "Mix-1" → "mix1": metric keys stay flat and shell-friendly.
 		mixKey := strings.ToLower(strings.ReplaceAll(mix.Name, "-", ""))
-		cfg, cal, err := setup(mix, o, 0)
+		base := spec(mix)
+		cal, err := base.Calibration(o.seed())
 		if err != nil {
 			return Result{}, err
 		}
 		budget := cal.BudgetW(0.8)
+		base.BudgetFrac, base.WarmEpochs, base.MeasureEpochs = 0.8, 0, meas
 		set := trace.NewSet("epoch")
 		var rows [][]string
 		for _, cc := range configs {
-			p := cpmParams{budgetW: budget, warmEpochs: 0, measEpochs: meas, opts: o}
-			if cc.policy != nil {
-				p.policy = cc.policy()
+			sc := base
+			sc.Adaptive = cc.adaptive
+			if cc.policy != "" {
+				if sc.Policy, err = check.PolicyByName(cc.policy); err != nil {
+					return Result{}, err
+				}
 			}
-			if cc.adaptive {
-				p.adaptive = &pic.AdaptiveConfig{SeedGain: cal.PlantGain}
-			}
-			sum, err := runCPM(cfg, cal, p)
+			sum, err := o.run(sc)
 			if err != nil {
 				return Result{}, err
 			}

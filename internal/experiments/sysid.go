@@ -34,10 +34,13 @@ func runFig5(o Options) (Result, error) {
 	mix := workload.Mix{Name: "btrack-all", Islands: [][]string{
 		{"btrack", "btrack"}, {"btrack", "btrack"}, {"btrack", "btrack"}, {"btrack", "btrack"},
 	}}
-	cfg, cal, err := setup(mix, o, 0)
+	sc := spec(mix)
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
+	cfg := sc.BuildConfig(o.seed())
+	cfg.Parallel = true
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		return Result{}, err

@@ -39,11 +39,13 @@ func init() {
 }
 
 func runFig7(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
 	budget := cal.BudgetW(0.8)
+	sc.BudgetFrac, sc.MeasureEpochs = 0.8, o.epochs(20)
 	// The provision series is recorded live by an epoch observer rather
 	// than scraped from the summary afterwards.
 	set := trace.NewSet("GPM invocation")
@@ -52,10 +54,7 @@ func runFig7(o Options) (Result, error) {
 			set.Get(fmt.Sprintf("Island%d", i+1)).Append(a / cal.UnmanagedPowerW * 100)
 		}
 	}}
-	if _, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 6, measEpochs: o.epochs(20), opts: o,
-		observers: []engine.Observer{obs},
-	}); err != nil {
+	if _, err := o.run(sc, obs); err != nil {
 		return Result{}, err
 	}
 	var lo, hi float64 = math.Inf(1), math.Inf(-1)
@@ -88,14 +87,13 @@ func runFig7(o Options) (Result, error) {
 }
 
 func runFig8(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
-	budget := cal.BudgetW(0.8)
-	sum, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 6, measEpochs: o.epochs(20), opts: o,
-	})
+	sc.BudgetFrac, sc.MeasureEpochs = 0.8, o.epochs(20)
+	sum, err := o.run(sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -135,17 +133,21 @@ func runFig8(o Options) (Result, error) {
 // overshoot and settling as the paper defines them (relative to the island
 // target, 2% settling band).
 func runFig9(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	sc.BudgetFrac, sc.WarmEpochs, sc.MeasureEpochs = 0.8, 8, o.epochs(12)
+	// Record every measured interval; the step aliases scratch buffers, so
+	// keep a clone.
+	var steps []engine.Step
+	rec := engine.Funcs{OnStep: func(st engine.Step) {
+		if st.Measured {
+			steps = append(steps, st.Clone())
+		}
+	}}
+	sum, err := o.run(sc, rec)
 	if err != nil {
 		return Result{}, err
 	}
-	budget := cal.BudgetW(0.8)
-	sum, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 8, measEpochs: o.epochs(12), keepSteps: true, opts: o,
-	})
-	if err != nil {
-		return Result{}, err
-	}
+	cfg := sc.BuildConfig(o.seed())
 	// For every island and epoch, measure overshoot of actual island power
 	// vs target across the 20 PIC invocations of the epoch, and settling
 	// time into a band accounting for one DVFS quantum of resolution.
@@ -159,7 +161,7 @@ func runFig9(o Options) (Result, error) {
 	}
 	prevTarget := make([]float64, nIslands)
 	havePrevTarget := false
-	for k, st := range sum.Steps {
+	for k, st := range steps {
 		for i, ir := range st.Sim.Islands {
 			epochSeries[i] = append(epochSeries[i], ir.PowerW)
 		}
@@ -211,7 +213,7 @@ func runFig9(o Options) (Result, error) {
 	for i := 0; i < nIslands; i++ {
 		set := trace.NewSet("PIC invocation")
 		series := epochSeries[i][len(epochSeries[i])-20:]
-		tgt := sum.Steps[len(sum.Steps)-1].AllocW[i]
+		tgt := steps[len(steps)-1].AllocW[i]
 		for _, v := range series {
 			set.Get("actual").Append(v)
 			set.Get("target").Append(tgt)
@@ -244,11 +246,13 @@ func runFig9(o Options) (Result, error) {
 }
 
 func runFig10(o Options) (Result, error) {
-	cfg, cal, err := setup(workload.Mix1(), o, 0)
+	sc := spec(workload.Mix1())
+	cal, err := sc.Calibration(o.seed())
 	if err != nil {
 		return Result{}, err
 	}
 	budget := cal.BudgetW(0.8)
+	sc.BudgetFrac, sc.MeasureEpochs = 0.8, o.epochs(40)
 	set := trace.NewSet("GPM invocation")
 	worstOver, worstUnder := 0.0, 0.0
 	obs := engine.Funcs{OnEpoch: func(e engine.Epoch) {
@@ -262,10 +266,7 @@ func runFig10(o Options) (Result, error) {
 			worstUnder = -dev
 		}
 	}}
-	sum, err := runCPM(cfg, cal, cpmParams{
-		budgetW: budget, warmEpochs: 6, measEpochs: o.epochs(40), opts: o,
-		observers: []engine.Observer{obs},
-	})
+	sum, err := o.run(sc, obs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -64,12 +64,10 @@ type ChipSpec struct {
 	// Config is the chip configuration. The record-driven member built
 	// from it is bit-identical to sim.New(Config).
 	Config sim.Config
-	// Init, when non-nil, runs after chip construction and before the
-	// session is built — e.g. restoring a warm-template snapshot into the
-	// chip (warm-started sweeps).
-	Init func(cmp *sim.CMP) error
 	// NewSession builds the chip's session: wrap the chip in a runner
-	// (unmanaged, CPM, MaxBIPS, ...) and attach observers. Required.
+	// (unmanaged, CPM, MaxBIPS, ...) and attach observers — normally
+	// check.Scenario.BuildOn, which also restores a warm-start snapshot
+	// into the chip. Required.
 	NewSession func(cmp *sim.CMP) (*engine.Session, error)
 }
 
@@ -182,11 +180,6 @@ func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []by
 		}
 		cmp.SetCacheStatsSource(sampler.CacheStats)
 		cmp.SetIslandCacheStatsSource(sampler.IslandCacheStats)
-		if spec.Init != nil {
-			if err := spec.Init(cmp); err != nil {
-				return nil, fmt.Errorf("farm: chip %d init: %w", i, err)
-			}
-		}
 		sess, err := spec.NewSession(cmp)
 		if err != nil {
 			return nil, fmt.Errorf("farm: chip %d session: %w", i, err)

@@ -117,23 +117,13 @@ type Manager struct {
 	provisionHooks []func(budgetW float64, obs []IslandObs, alloc []float64)
 }
 
-// SetProvisionHook installs a callback invoked after every Provision with
+// AddProvisionHook subscribes a callback invoked after every Provision with
 // the budget, the island observations the policy saw, and the clipped
 // allocations it produced — the gpm-layer attachment point for observers.
-// The slices are live; callers must copy what they keep. Set replaces every
-// previously installed hook; a nil hook detaches them all. Not safe to call
+// Hooks accumulate, so independent observers (the engine runner,
+// telemetry) can subscribe to the same manager. The slices are live;
+// callers must copy what they keep. A nil hook is ignored. Not safe to call
 // concurrently with Provision.
-func (m *Manager) SetProvisionHook(fn func(budgetW float64, obs []IslandObs, alloc []float64)) {
-	m.provisionHooks = m.provisionHooks[:0]
-	if fn != nil {
-		m.provisionHooks = append(m.provisionHooks, fn)
-	}
-}
-
-// AddProvisionHook appends a hook without disturbing the ones already
-// installed, so independent observers (the engine runner, telemetry) can
-// subscribe to the same manager. The same live-slice contract applies. A
-// nil hook is ignored. Not safe to call concurrently with Provision.
 func (m *Manager) AddProvisionHook(fn func(budgetW float64, obs []IslandObs, alloc []float64)) {
 	if fn != nil {
 		m.provisionHooks = append(m.provisionHooks, fn)

@@ -12,7 +12,7 @@ func TestInvokeHookFiresOnBothPaths(t *testing.T) {
 	var calls int
 	var lastLevel int
 	var lastTarget, lastEst float64
-	c.SetInvokeHook(func(targetFrac, estFrac float64, level int) {
+	c.AddInvokeHook(func(targetFrac, estFrac float64, level int) {
 		calls++
 		lastTarget, lastEst, lastLevel = targetFrac, estFrac, level
 	})
@@ -46,17 +46,10 @@ func TestInvokeHookFiresOnBothPaths(t *testing.T) {
 	if calls != settled+5 {
 		t.Fatalf("hook fired %d times while settled, want %d", calls-settled, 5)
 	}
-
-	c.SetInvokeHook(nil)
-	util, powW := plant.observe()
-	c.Invoke(util, powW)
-	if calls != settled+5 {
-		t.Error("detached hook still fired")
-	}
 }
 
-// TestInvokeHookFanOut pins the Add/Set semantics: Add subscribes alongside
-// existing hooks, Set replaces them all, Set(nil) detaches all.
+// TestInvokeHookFanOut pins the fan-out: every added hook fires once per
+// invocation, and a nil hook is ignored.
 func TestInvokeHookFanOut(t *testing.T) {
 	plant := defaultPlant()
 	c := newController(t, plant, false)
@@ -64,22 +57,13 @@ func TestInvokeHookFanOut(t *testing.T) {
 		util, powW := plant.observe()
 		plant.apply(c.Invoke(util, powW))
 	}
-	var a, b, s int
+	var a, b int
 	c.AddInvokeHook(func(float64, float64, int) { a++ })
 	c.AddInvokeHook(func(float64, float64, int) { b++ })
 	c.AddInvokeHook(nil) // ignored
 	step()
-	if a != 1 || b != 1 {
-		t.Fatalf("added hooks fired %d/%d times, want 1/1", a, b)
-	}
-	c.SetInvokeHook(func(float64, float64, int) { s++ })
 	step()
-	if a != 1 || b != 1 || s != 1 {
-		t.Fatalf("after Set: fired %d/%d/%d, want 1/1/1 (Set must replace)", a, b, s)
-	}
-	c.SetInvokeHook(nil)
-	step()
-	if a != 1 || b != 1 || s != 1 {
-		t.Error("Set(nil) left a hook attached")
+	if a != 2 || b != 2 {
+		t.Fatalf("added hooks fired %d/%d times over 2 invocations, want 2/2", a, b)
 	}
 }

@@ -116,22 +116,12 @@ type Controller struct {
 	invokeHooks []func(targetFrac, estFrac float64, level int)
 }
 
-// SetInvokeHook installs a callback invoked after every Invoke with the
+// AddInvokeHook subscribes a callback invoked after every Invoke with the
 // island's target fraction, the (smoothed) feedback power estimate, and the
 // chosen DVFS level — the pic-layer attachment point for fine-grained
-// tracking observers. Set replaces every previously installed hook; a nil
-// hook detaches them all. Not safe to call concurrently with Invoke.
-func (c *Controller) SetInvokeHook(fn func(targetFrac, estFrac float64, level int)) {
-	c.invokeHooks = c.invokeHooks[:0]
-	if fn != nil {
-		c.invokeHooks = append(c.invokeHooks, fn)
-	}
-}
-
-// AddInvokeHook appends a hook without disturbing the ones already
-// installed, so independent observers (telemetry, tests) can subscribe to
-// the same controller. A nil hook is ignored. Not safe to call concurrently
-// with Invoke.
+// tracking observers. Hooks accumulate, so independent observers
+// (telemetry, tests) can subscribe to the same controller. A nil hook is
+// ignored. Not safe to call concurrently with Invoke.
 func (c *Controller) AddInvokeHook(fn func(targetFrac, estFrac float64, level int)) {
 	if fn != nil {
 		c.invokeHooks = append(c.invokeHooks, fn)

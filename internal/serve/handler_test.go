@@ -111,7 +111,9 @@ func TestScenariosEndpoint(t *testing.T) {
 
 // TestMetricsEndpoint runs one short simulation and validates the full
 // /metrics exposition — server plane and run plane — through the strict
-// Prometheus text parser.
+// Prometheus text parser. The run plane is the spec's telemetry observer,
+// wired to the chip and PICs: a managed run carries its PIC tracking-error
+// samples and the cache, DVFS-residency and controller-state series.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	wantStatus(t, postJSON(t, ts, runDoc(shortRun("cpm-default", goldenSeed))), 200)
@@ -125,9 +127,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics is not valid Prometheus exposition: %v", err)
 	}
-	byName := map[string]bool{}
+	byName := map[string]metrics.ParsedFamily{}
 	for _, f := range fams {
-		byName[f.Name] = true
+		byName[f.Name] = f
 	}
 	for _, want := range []string{
 		"cpmserve_requests_total",
@@ -135,10 +137,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cpmserve_runs_total",
 		"cpmserve_run_seconds",
 		"cpm_intervals_total", // the run-plane observer wired per job
+		"cpm_cache_hits_total", "cpm_cache_misses_total",
+		"cpm_island_level_residency_intervals_total",
+		"cpm_pic_integrator", "cpm_pic_freq_norm", "cpm_pic_target_frac", "cpm_pic_est_power_frac",
 	} {
-		if !byName[want] {
+		if len(byName[want].Samples) == 0 {
 			t.Errorf("/metrics lacks family %s", want)
 		}
+	}
+	count := -1.0
+	for _, s := range byName["cpm_pic_tracking_error_frac"].Samples {
+		if s.Name == "cpm_pic_tracking_error_frac_count" && s.Labels["run"] == "cpm-default" {
+			count = s.Value
+		}
+	}
+	if count <= 0 {
+		t.Errorf("cpm_pic_tracking_error_frac_count{run=\"cpm-default\"} = %v, want > 0", count)
 	}
 }
 

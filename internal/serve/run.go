@@ -6,33 +6,23 @@ import (
 	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/farm"
-	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/sim"
 )
 
-// runObservers is the observer set one served run carries: the golden
-// digest recorder (the response's verification payload), the epoch recorder
-// (the response's data payload), and the registry observer feeding /metrics
-// under the scenario's canonical name — a bounded label set, since only
-// canonical scenarios are admitted.
+// runObservers is the observer set one served run carries beside the
+// spec's own suite and telemetry: the golden digest recorder (the
+// response's verification payload) and the epoch recorder (the response's
+// data payload).
 type runObservers struct {
 	golden *check.Golden
 	rec    *epochRecorder
 	all    []engine.Observer
 }
 
-func (s *Server) observersFor(req Request) runObservers {
+func observersFor(req Request) runObservers {
 	golden := check.NewGolden(req.Scenario)
 	rec := &epochRecorder{}
-	return runObservers{
-		golden: golden,
-		rec:    rec,
-		all: []engine.Observer{
-			golden,
-			rec.observer(),
-			metrics.NewObserver(s.reg, metrics.ObserverOptions{Label: req.Scenario}),
-		},
-	}
+	return runObservers{golden: golden, rec: rec, all: []engine.Observer{golden, rec.observer()}}
 }
 
 // finalize turns one finished session into a rendered result, failing on
@@ -47,7 +37,7 @@ func finalize(j *job, sum engine.Summary, suite *check.Suite, obs runObservers) 
 
 // executeScalar runs one job as a plain single-chip session.
 func (s *Server) executeScalar(j *job) (*result, error) {
-	obs := s.observersFor(j.req)
+	obs := observersFor(j.req)
 	sess, suite, err := j.sc.Build(j.req.Seed, obs.all...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building %s seed %d: %w", j.req.Scenario, j.req.Seed, err)
@@ -65,7 +55,7 @@ func (s *Server) executeFarm(batch []*job) {
 	specs := make([]farm.ChipSpec, len(batch))
 	for i, j := range batch {
 		i, j := i, j
-		obs[i] = s.observersFor(j.req)
+		obs[i] = observersFor(j.req)
 		specs[i] = farm.ChipSpec{
 			Config: j.sc.BuildConfig(j.req.Seed),
 			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {

@@ -274,6 +274,10 @@ func (s *Server) submit(req Request, sc check.Scenario) (*job, string, *submitEr
 		s.mu.Unlock()
 		return nil, "", &submitErr{code: 429, msg: "serve: queue full"}
 	}
+	// The run's telemetry feeds /metrics under the scenario's canonical
+	// name — a bounded label set, since only canonical scenarios are
+	// admitted.
+	sc.Metrics = s.reg
 	j := &job{
 		req:  req,
 		sc:   sc,
@@ -350,6 +354,15 @@ func (s *Server) runBatch(batch []*job) {
 			hook(j.req)
 		}
 	}
+	// Count the batch before any job finishes: a client holding its
+	// response must find its run in Stats.
+	s.mu.Lock()
+	s.stats.Runs += uint64(len(batch))
+	if len(batch) > 1 {
+		s.stats.FarmBatches++
+		s.stats.BatchedJobs += uint64(len(batch))
+	}
+	s.mu.Unlock()
 	start := time.Now()
 	if len(batch) == 1 {
 		j := batch[0]
@@ -361,13 +374,6 @@ func (s *Server) runBatch(batch []*job) {
 	}
 	s.m.runSeconds.Observe(time.Since(start).Seconds())
 	s.m.batchSize.Observe(float64(len(batch)))
-	s.mu.Lock()
-	s.stats.Runs += uint64(len(batch))
-	if len(batch) > 1 {
-		s.stats.FarmBatches++
-		s.stats.BatchedJobs += uint64(len(batch))
-	}
-	s.mu.Unlock()
 }
 
 // finish publishes a job's result, caches it, and releases the flight so

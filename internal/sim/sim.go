@@ -249,22 +249,12 @@ type CMP struct {
 	stepHooks []func(Result)
 }
 
-// SetStepHook installs a callback invoked at the end of every Step with the
-// interval's observation — the sim-layer attachment point for observers
-// when the chip is driven directly rather than through a controller. Set
-// replaces every previously installed hook; a nil hook detaches them all.
-// Not safe to call concurrently with Step.
-func (c *CMP) SetStepHook(fn func(Result)) {
-	c.stepHooks = c.stepHooks[:0]
-	if fn != nil {
-		c.stepHooks = append(c.stepHooks, fn)
-	}
-}
-
-// AddStepHook appends a hook without disturbing the ones already installed,
-// so independent observers can subscribe to the same chip. The Result's
-// Islands slice is live scratch; hooks must copy what they keep. A nil hook
-// is ignored. Not safe to call concurrently with Step.
+// AddStepHook subscribes a callback invoked at the end of every Step with
+// the interval's observation — the sim-layer attachment point for
+// observers when the chip is driven directly rather than through a
+// controller. Hooks accumulate; the Result's Islands slice is live scratch,
+// so hooks must copy what they keep. A nil hook is ignored. Not safe to
+// call concurrently with Step.
 func (c *CMP) AddStepHook(fn func(Result)) {
 	if fn != nil {
 		c.stepHooks = append(c.stepHooks, fn)
