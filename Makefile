@@ -3,8 +3,9 @@ FUZZTIME ?= 20s
 
 .PHONY: build test race vet bench bench-sweep sweep fuzz fuzz-smoke cover golden telemetry fleet-bench serve-smoke resilience-smoke scorecard all
 
-# Perf trajectory output of `make bench` (see EXPERIMENTS.md).
-BENCH_OUT ?= BENCH_PR6.json
+# Output of `make bench` (see EXPERIMENTS.md). The checked-in BENCH_PR*.json
+# files are curated records; pass BENCH_OUT=BENCH_PR<n>.json to write one.
+BENCH_OUT ?= bench-report.json
 
 all: vet build test
 

@@ -119,7 +119,7 @@ func BenchmarkMaxStableGainSearch(b *testing.B) {
 	}
 }
 
-// --- executor ablation: sequential vs parallel island stepping -------------
+// --- sampling ablation: sequential vs island-parallel sampling ------------
 
 func benchSimStep(b *testing.B, mix workload.Mix, parallel bool) {
 	cfg := sim.DefaultConfig(mix)
@@ -348,26 +348,15 @@ func BenchmarkAblationSharedL2(b *testing.B) {
 }
 
 // Replay skips phase generation and cache simulation; its per-interval cost
-// should be a small fraction of the live engine's (compare against
+// should be a small fraction of the sampling chip's (compare against
 // BenchmarkAblationBaselineSubstrate).
 func BenchmarkAblationReplayEngine(b *testing.B) {
-	recCfg := sim.DefaultConfig(workload.Mix1())
-	recCfg.RecordTraces = true
-	rec, err := sim.New(recCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for k := 0; k < 200; k++ {
-		rec.Step()
-	}
-	set, err := rec.Traces()
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := sim.DefaultConfig(workload.Mix1())
-	cfg.Parallel = true
-	cfg.Replay = &set
-	c, err := sim.New(cfg)
+	set, err := sim.RecordTraces(cfg, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := sim.NewReplay(cfg, set)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -57,36 +57,54 @@ func usage() {
   cpmtrace info   -i FILE`)
 }
 
-func record(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+// recordArgs is the parsed, validated record command line.
+type recordArgs struct {
+	mix       workload.Mix
+	intervals int
+	out       string
+	seed      uint64
+}
+
+// parseRecord parses and validates the record flags; like parseReplay,
+// every reject path is an error, so the validation is testable.
+func parseRecord(args []string, stderr io.Writer) (recordArgs, error) {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	mixName := fs.String("mix", "mix1", "application mix")
 	intervals := fs.Int("intervals", 800, "intervals to record (2.5 ms each)")
 	out := fs.String("o", "", "output file")
 	seed := fs.Uint64("seed", 1, "workload seed")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return recordArgs{}, err
+	}
 	if *out == "" {
-		return fmt.Errorf("record: -o is required")
+		return recordArgs{}, fmt.Errorf("record: -o is required")
+	}
+	if *intervals <= 0 {
+		return recordArgs{}, fmt.Errorf("record: -intervals must be > 0, got %d", *intervals)
 	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
+		return recordArgs{}, err
+	}
+	return recordArgs{mix: mix, intervals: *intervals, out: *out, seed: *seed}, nil
+}
+
+// record samples the mix's workload and saves the trace. Records do not
+// depend on the operating point, so no chip or controller runs.
+func record(args []string) error {
+	a, err := parseRecord(args, os.Stderr)
+	if err != nil {
 		return err
 	}
-	cfg := sim.DefaultConfig(mix)
-	cfg.Seed = *seed
+	cfg := sim.DefaultConfig(a.mix)
+	cfg.Seed = a.seed
 	cfg.Parallel = true
-	cfg.RecordTraces = true
-	cmp, err := sim.New(cfg)
+	set, err := sim.RecordTraces(cfg, a.intervals)
 	if err != nil {
 		return err
 	}
-	for k := 0; k < *intervals; k++ {
-		cmp.Step()
-	}
-	set, err := cmp.Traces()
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*out)
+	f, err := os.Create(a.out)
 	if err != nil {
 		return err
 	}
@@ -94,7 +112,7 @@ func record(args []string) error {
 	if err := uarch.SaveTraces(f, set); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d intervals x %d cores of %s to %s\n", *intervals, len(set.Records), mix.Name, *out)
+	fmt.Printf("recorded %d intervals x %d cores of %s to %s\n", a.intervals, len(set.Records), a.mix.Name, a.out)
 	return f.Close()
 }
 
@@ -143,9 +161,9 @@ func parseReplay(args []string, stderr io.Writer) (replayArgs, error) {
 	return replayArgs{mix: mix, in: *in, budget: *budget, epochs: *epochs}, nil
 }
 
-// replay runs the CPM run spec over a trace-driven chip: calibration comes
-// from the live chip the trace was recorded from, the run's cores replay
-// the recorded intervals.
+// replay runs the CPM run spec over a replay chip: calibration comes from
+// the sampled chip the trace was recorded from, the run's cores replay the
+// recorded intervals.
 func replay(args []string) error {
 	a, err := parseReplay(args, os.Stderr)
 	if err != nil {
@@ -160,10 +178,7 @@ func replay(args []string) error {
 		BudgetFrac: a.budget, WarmEpochs: 6, MeasureEpochs: a.epochs,
 	}
 	const seed = 1
-	cfg := sc.BuildConfig(seed)
-	cfg.Parallel = true
-	cfg.Replay = &set
-	cmp, err := sim.New(cfg)
+	cmp, err := sim.NewReplay(sc.BuildConfig(seed), set)
 	if err != nil {
 		return err
 	}

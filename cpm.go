@@ -131,9 +131,9 @@ func PaperVariation(coresPerIsland int) VariationMap {
 	return variation.PaperIslands(coresPerIsland)
 }
 
-// TraceSet is a recorded per-core workload trace (see
-// ChipConfig.RecordTraces and ChipConfig.Replay): frequency-independent
-// interval records that replay under any controller or DVFS trajectory.
+// TraceSet is a recorded per-core workload trace (see RecordTraces and
+// NewReplayChip): frequency-independent interval records that replay under
+// any controller or DVFS trajectory.
 type TraceSet = uarch.TraceSet
 
 // FaultPlan injects sensor/actuator faults into a managed run
@@ -143,6 +143,14 @@ type FaultPlan = core.FaultPlan
 // EnergyAware is the energy-minimizing policy with a performance floor that
 // §II-C sketches.
 type EnergyAware = gpm.EnergyAware
+
+// RecordTraces samples the first n intervals of cfg's workload: the records
+// a NewChip(cfg) chip consumes under any controller.
+func RecordTraces(cfg ChipConfig, n int) (TraceSet, error) { return sim.RecordTraces(cfg, n) }
+
+// NewReplayChip builds a chip that replays set instead of sampling its
+// workload; each core wraps to the start of its trace when it runs out.
+func NewReplayChip(cfg ChipConfig, set TraceSet) (*Chip, error) { return sim.NewReplay(cfg, set) }
 
 // SaveTraces serializes a recorded TraceSet.
 func SaveTraces(w io.Writer, set TraceSet) error { return uarch.SaveTraces(w, set) }

@@ -69,16 +69,7 @@ func Example_policies() {
 // recorded trace is frequency-independent, so different controllers can be
 // compared on identical behaviour.
 func Example_traces() {
-	cfg := cpm.DefaultConfig(cpm.Mix1())
-	cfg.RecordTraces = true
-	chip, err := cpm.NewChip(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		chip.Step()
-	}
-	set, err := chip.Traces()
+	set, err := cpm.RecordTraces(cpm.DefaultConfig(cpm.Mix1()), 100)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,9 +81,7 @@ func Example_traces() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	replayCfg := cpm.DefaultConfig(cpm.Mix1())
-	replayCfg.Replay = &loaded
-	replayChip, err := cpm.NewChip(replayCfg)
+	replayChip, err := cpm.NewReplayChip(cpm.DefaultConfig(cpm.Mix1()), loaded)
 	if err != nil {
 		log.Fatal(err)
 	}

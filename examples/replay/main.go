@@ -22,23 +22,14 @@ func main() {
 	base := sim.DefaultConfig(workload.Mix3(1))
 	base.Parallel = true
 
-	// Calibrate and record one unmanaged run (calibration horizon + the
-	// experiment horizon, so the replay never wraps).
+	// Calibrate, and record the workload over the experiment horizon so the
+	// replay never wraps.
 	cal, err := core.Calibrate(base, 60, 240)
 	if err != nil {
 		log.Fatal(err)
 	}
-	recCfg := base
-	recCfg.RecordTraces = true
-	rec, err := sim.New(recCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	const horizon = 26 * 20
-	for k := 0; k < horizon; k++ {
-		rec.Step()
-	}
-	set, err := rec.Traces()
+	set, err := sim.RecordTraces(base, horizon)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,9 +48,7 @@ func main() {
 
 	budget := cal.BudgetW(0.8)
 	run := func(policy gpm.Policy) (power, bips float64) {
-		cfg := base
-		cfg.Replay = &loaded
-		chip, err := sim.New(cfg)
+		chip, err := sim.NewReplay(base, loaded)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // Scaling example: the Figure 15 configuration. A 32-core CMP (Mix-3
 // replicated twice: 8 four-core islands alternating CPU-bound and
 // memory-bound) is managed at an 80% budget. The example also demonstrates
-// the simulator's parallel executor: islands step concurrently with
-// bit-identical results to the sequential engine, which is what makes the
+// parallel sampling: the chip's sampler samples islands concurrently with
+// bit-identical results to sequential sampling, which is what makes the
 // large configurations cheap to evaluate.
 package main
 
@@ -22,12 +22,12 @@ func main() {
 	mix := workload.Mix3(2) // 32 cores, 8 islands
 	fmt.Printf("CMP: %d cores in %d islands (%s)\n\n", mix.Cores(), len(mix.Islands), mix.Name)
 
-	// Demonstrate executor equivalence and speedup on the raw simulator.
+	// Demonstrate sampling equivalence and speedup on the raw simulator.
 	const steps = 300
 	seqTime, seqPower := timeRun(mix, false, steps)
 	parTime, parPower := timeRun(mix, true, steps)
-	fmt.Printf("sequential executor: %8v   mean power %.2f W\n", seqTime.Round(time.Millisecond), seqPower)
-	fmt.Printf("parallel executor:   %8v   mean power %.2f W (identical: %v)\n",
+	fmt.Printf("sequential sampling: %8v   mean power %.2f W\n", seqTime.Round(time.Millisecond), seqPower)
+	fmt.Printf("parallel sampling:   %8v   mean power %.2f W (identical: %v)\n",
 		parTime.Round(time.Millisecond), parPower, seqPower == parPower)
 	fmt.Printf("speedup: %.1fx on GOMAXPROCS=%d (islands scale with available cores)\n\n",
 		float64(seqTime)/float64(parTime), runtime.GOMAXPROCS(0))

@@ -14,7 +14,8 @@
 // interval and epoch, the way hardware-in-the-loop validation traces do.
 // Violations carry structured context (interval, island, observed value vs.
 // bound) and accumulate into a report; All(cfg) wires the standard suite,
-// ForChip/ForCPM derive the configuration from a live simulator instance.
+// ForChip derives the configuration from a simulator instance, and
+// ForCPMWithConfig adds the managed run's PIC checks.
 //
 // On top of the invariant library, the package provides a golden-trace
 // regression harness (Golden, Trace, the canonical Scenarios): compact
@@ -112,9 +113,6 @@ func (r *recorder) report(v Violation) {
 type Suite struct {
 	checks []Check
 }
-
-// NewSuite builds a suite from explicit checks.
-func NewSuite(checks ...Check) *Suite { return &Suite{checks: checks} }
 
 // Add appends further checks (e.g. a Golden recorder next to All's suite).
 func (s *Suite) Add(checks ...Check) { s.checks = append(s.checks, checks...) }

@@ -373,7 +373,7 @@ func TestDeterminismExpectation(t *testing.T) {
 }
 
 // TestSuiteOnLiveRun attaches the full suite to a real short managed run
-// and expects it to come back clean — the integration path ForCPM wires.
+// and expects it to come back clean — the integration path ForCPMWithConfig wires.
 func TestSuiteOnLiveRun(t *testing.T) {
 	sc := Scenario{Name: "unit-live", Mix: Canonical()[0].Mix, BudgetFrac: 0.8, MeasureEpochs: 2, WarmEpochs: 1}
 	sum, suite, err := sc.Run(7)

@@ -229,47 +229,14 @@ func TestFarmSnapshotRestoreMidRun(t *testing.T) {
 		t.Fatalf("%d bytes left after restore", rem)
 	}
 
-	if _, err := f2.Finish(pool, nil); err != nil {
+	if _, err := f2.Run(pool, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkFarmTraces(t, scenarios, goldens2, suites2)
 
 	// The snapshot must not have disturbed the original fleet.
-	if _, err := f.Finish(pool, nil); err != nil {
+	if _, err := f.Run(pool, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkFarmTraces(t, scenarios, goldens, suites)
-}
-
-// TestFarmColumnsPopulated sanity-checks the SoA layer: after a run,
-// every chip's column region holds plausible physics (positive power and
-// CPI, temperatures above ambient-ish, island frequency).
-func TestFarmColumnsPopulated(t *testing.T) {
-	scenarios := Canonical()[:2]
-	specs, _, _ := farmSpecs(t, scenarios, goldenSeed)
-	f, err := farm.New(specs, farm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(engine.Pool{Workers: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	cols := f.Columns()
-	if got := cols.CoreOffsets[f.NumChips()]; got != 16 {
-		t.Fatalf("fleet core count %d, want 16", got)
-	}
-	for c := 0; c < f.NumChips(); c++ {
-		if cols.ChipPowerW[c] <= 0 || cols.ChipBIPS[c] <= 0 {
-			t.Errorf("chip %d aggregates not populated: %+v W, %+v BIPS", c, cols.ChipPowerW[c], cols.ChipBIPS[c])
-		}
-		if cols.ChipInterval[c] != 119 {
-			t.Errorf("chip %d last interval %d, want 119", c, cols.ChipInterval[c])
-		}
-		for k := cols.CoreOffsets[c]; k < cols.CoreOffsets[c+1]; k++ {
-			if cols.PowerW[k] <= 0 || cols.CPI[k] <= 0 || cols.TempC[k] <= 0 || cols.FreqMHz[k] <= 0 {
-				t.Fatalf("chip %d core column %d not populated: power=%g cpi=%g temp=%g freq=%g",
-					c, k, cols.PowerW[k], cols.CPI[k], cols.TempC[k], cols.FreqMHz[k])
-			}
-		}
-	}
 }

@@ -260,7 +260,7 @@ func (s Scenario) Build(seed uint64, extra ...engine.Observer) (*engine.Session,
 
 // BuildConfig returns the chip configuration Build simulates for seed —
 // the input a farm needs to construct an equivalent record-driven chip.
-// The chip steps its islands sequentially, so results never depend on
+// The chip samples its islands sequentially, so results never depend on
 // GOMAXPROCS; a caller may set Parallel on the returned config before
 // building the chip itself for BuildOn.
 func (s Scenario) BuildConfig(seed uint64) sim.Config {
@@ -280,10 +280,11 @@ func (s Scenario) BuildConfig(seed uint64) sim.Config {
 }
 
 // BuildOn assembles the scenario's stack over a caller-supplied chip built
-// from BuildConfig(seed) — a farm member (sim.NewWithRecords), an
-// island-parallel chip, or a trace-replay chip. WarmState, when set, is
-// restored into the chip first. The stack carries its invariant suite and,
-// with Metrics set, its telemetry observer, ahead of extra.
+// from BuildConfig(seed) — a farm member (sim.NewWithRecords), a chip
+// sampling its islands in parallel, or a replay chip (sim.NewReplay).
+// WarmState, when set, is restored into the chip first. The stack carries
+// its invariant suite and, with Metrics set, its telemetry observer, ahead
+// of extra.
 func (s Scenario) BuildOn(cmp *sim.CMP, seed uint64, extra ...engine.Observer) (*engine.Session, *Suite, error) {
 	if s.MaxBIPS && s.Unmanaged {
 		return nil, nil, fmt.Errorf("check: scenario %q is both MaxBIPS and unmanaged", s.Name)

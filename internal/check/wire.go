@@ -40,15 +40,11 @@ func ForChip(cmp *sim.CMP, budgetW float64) Config {
 	return cfg
 }
 
-// ForCPM wires the full standard suite for a managed run: everything All
-// gives for the chip, plus PIDBounds over the controller's live PICs.
-func ForCPM(ctl *core.CPM, budgetW float64) *Suite {
-	return ForCPMWithConfig(ctl, ForChip(ctl.Chip(), budgetW))
-}
-
-// ForCPMWithConfig is ForCPM with an explicit (possibly adjusted) Config —
+// ForCPMWithConfig wires the full standard suite for a managed run:
+// everything All gives for cfg (normally ForChip's, possibly adjusted —
 // e.g. fault-injection runs disable the budget check, since breaking the
-// provisioning contract is exactly what the injected fault does.
+// provisioning contract is exactly what the injected fault does), plus
+// PIDBounds over the controller's live PICs.
 func ForCPMWithConfig(ctl *core.CPM, cfg Config) *Suite {
 	s := All(cfg)
 	pics := make([]*pic.Controller, ctl.Chip().NumIslands())

@@ -12,7 +12,7 @@ import (
 
 // seriesHash folds a run's full per-interval power/BIPS series (chip and
 // per island) into one hash, so executor equivalence is asserted
-// bit-for-bit, as the sim package's parallel-executor comment promises.
+// bit-for-bit, as the sim package's parallel-sampling comment promises.
 func seriesHash(steps []Step) uint64 {
 	h := fnv.New64a()
 	word := func(v float64) {
@@ -64,15 +64,15 @@ func runManagedSteps(t testing.TB, parallel bool) []Step {
 	return steps
 }
 
-// TestCrossExecutorDeterminism drives the same config + seed through the
-// sequential executor, the parallel island executor, and sessions running
+// TestCrossExecutorDeterminism drives the same config + seed through
+// sequential sampling, island-parallel sampling, and sessions running
 // inside an engine.Pool, and requires identical per-interval power/BIPS
 // series from all three paths.
 func TestCrossExecutorDeterminism(t *testing.T) {
 	seq := seriesHash(runManagedSteps(t, false))
 	par := seriesHash(runManagedSteps(t, true))
 	if seq != par {
-		t.Fatalf("Parallel executor diverged from sequential: %x vs %x", par, seq)
+		t.Fatalf("Parallel sampling diverged from sequential: %x vs %x", par, seq)
 	}
 
 	// Several identical jobs concurrently through the pool: every job must

@@ -36,9 +36,6 @@ func NewFarmRunner(sessions []*Session) (*FarmRunner, error) {
 	}, nil
 }
 
-// Sessions returns the driven sessions, in round order.
-func (f *FarmRunner) Sessions() []*Session { return f.sessions }
-
 // Active returns the number of sessions that still have intervals to run.
 func (f *FarmRunner) Active() int { return f.active }
 

@@ -26,7 +26,7 @@ func unmanaged(sc check.Scenario) check.Scenario { sc.Unmanaged = true; return s
 func maxBIPS(sc check.Scenario) check.Scenario   { sc.MaxBIPS = true; return sc }
 
 // run executes sc at the harness seed and summarises its measurement
-// window. The chip runs the island-parallel executor: harnesses run one
+// window. The chip samples its islands in parallel: harnesses run one
 // session at a time, so it is their parallelism. Under Options.Check an
 // invariant violation fails the run; with Options.Metrics the run records
 // telemetry labelled by kind and absolute budget ("cpm-24.00W",

@@ -5,7 +5,7 @@
 //
 // The enabling property is that uarch.TraceRecords are frequency-
 // independent: the expensive half of a chip interval (phase generation,
-// address streams, ~20k sampled cache accesses — >95% of a live step)
+// address streams, ~20k sampled cache accesses — >95% of a step)
 // depends only on the chip's workload identity (seed, mix, core and cache
 // configuration), not on its DVFS trajectory, controller, budget, memory
 // or thermal state. Chips sharing a WorkloadKey therefore share one
@@ -15,15 +15,11 @@
 // different budgets and controllers — collapse into one group, so the
 // aggregate cost of N points approaches the cost of one.
 //
-// Per-core observables are mirrored into flat structure-of-arrays Columns
-// (power, CPI, temperature, frequency vectors contiguous across chips), so
-// fleet-level consumers stream plain float64 slices instead of chasing N
-// chips' internal pointers.
-//
-// Every member chip is bit-identical to the live chip sim.New would have
-// produced from its Config — proven against the pinned golden scenarios by
-// internal/check — and group membership, group size and pool worker count
-// never change results, only wall-clock.
+// A member chip steps the same code as the chip sim.New builds from its
+// Config, over a shared sampler instead of its own, so it is bit-identical
+// to that chip — pinned against the golden scenarios by internal/check —
+// and group membership, group size and pool worker count never change
+// results, only wall-clock.
 package farm
 
 import (
@@ -83,11 +79,10 @@ type Options struct {
 	SamplerState []byte
 }
 
-// member is one chip with its session, remembering its spec index so
-// results come back in spec order.
+// member is one chip's session, remembering its spec index so results come
+// back in spec order.
 type member struct {
 	spec int
-	cmp  *sim.CMP
 	sess *engine.Session
 }
 
@@ -105,12 +100,10 @@ type group struct {
 	baseCursor int
 }
 
-// Farm is a constructed fleet: grouped chips, sessions and SoA columns,
-// ready to run.
+// Farm is a constructed fleet: grouped chips and sessions, ready to run.
 type Farm struct {
 	groups []*group
 	nSpecs int
-	cols   Columns
 
 	mu         sync.Mutex
 	completed  int
@@ -156,7 +149,6 @@ func New(specs []ChipSpec, opts Options) (*Farm, error) {
 			idxs = idxs[n:]
 		}
 	}
-	f.initColumns(specs)
 	return f, nil
 }
 
@@ -187,7 +179,7 @@ func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []by
 		if sess == nil {
 			return nil, fmt.Errorf("farm: chip %d session factory returned nil", i)
 		}
-		g.members = append(g.members, member{spec: i, cmp: cmp, sess: sess})
+		g.members = append(g.members, member{spec: i, sess: sess})
 	}
 	sessions := make([]*engine.Session, len(g.members))
 	for j, m := range g.members {
@@ -205,22 +197,6 @@ func (f *Farm) NumChips() int { return f.nSpecs }
 
 // NumGroups returns the number of sampler groups.
 func (f *Farm) NumGroups() int { return len(f.groups) }
-
-// GroupSampler returns group g's sampler (e.g. for fleet-level cache
-// telemetry); groups appear in construction order.
-func (f *Farm) GroupSampler(g int) *sim.Sampler { return f.groups[g].sampler }
-
-// Chip returns member chip i (spec order).
-func (f *Farm) Chip(i int) *sim.CMP {
-	for _, g := range f.groups {
-		for _, m := range g.members {
-			if m.spec == i {
-				return m.cmp
-			}
-		}
-	}
-	return nil
-}
 
 // progress folds a group's newly completed sessions into the fleet count
 // and forwards it; called from pool workers, hence the lock.
@@ -274,11 +250,4 @@ func (f *Farm) RunRounds(pool engine.Pool, n int) error {
 		}
 		return nil
 	})
-}
-
-// Finish drives every group's remaining rounds and finishes all sessions,
-// returning summaries in spec order — Run, for a fleet already partially
-// advanced by RunRounds.
-func (f *Farm) Finish(pool engine.Pool, onProgress func(completed, total int)) ([]engine.Summary, error) {
-	return f.Run(pool, onProgress)
 }

@@ -65,13 +65,9 @@ func TestCacheStatsSharedL2Dedupe(t *testing.T) {
 	// Ground truth: one core's view per island.
 	var want cache.Stats
 	var overcounted cache.Stats
-	for _, st := range c.islands {
-		for j, core := range st.cores {
-			cs, ok := core.(cacheStatser)
-			if !ok {
-				continue
-			}
-			_, _, l2 := cs.CacheStats()
+	for _, isl := range c.sampler.islands {
+		for j, core := range isl.cores {
+			_, _, l2 := core.CacheStats()
 			addCacheStats(&overcounted, l2)
 			if j == 0 {
 				addCacheStats(&want, l2)
@@ -114,10 +110,11 @@ func TestIslandCacheStatsSumToChip(t *testing.T) {
 	}
 }
 
-// TestSamplerIslandCacheStatsMatchLiveChip checks the sampler's per-island
-// view is identical to a live chip's after consuming the same intervals —
-// the property that makes cache-aware provisioning bit-identical between
-// the scalar and the record-driven farm paths.
+// TestSamplerIslandCacheStatsMatchLiveChip checks a record-driven chip
+// reading a shared sampler's per-island view sees what a New chip reads
+// from its own sampler after the same intervals — the property that makes
+// cache-aware provisioning bit-identical between the scalar and the farm
+// paths.
 func TestSamplerIslandCacheStatsMatchLiveChip(t *testing.T) {
 	cfg := DefaultConfig(workload.Mix1())
 	cfg.Seed = 11
@@ -142,7 +139,7 @@ func TestSamplerIslandCacheStatsMatchLiveChip(t *testing.T) {
 	}
 	for i := 0; i < live.NumIslands(); i++ {
 		if got, want := rec.IslandCacheStats(i), live.IslandCacheStats(i); got != want {
-			t.Errorf("island %d: record-chip stats %+v != live-chip stats %+v", i, got, want)
+			t.Errorf("island %d: record-driven chip stats %+v != New chip stats %+v", i, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -9,15 +10,30 @@ import (
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-// recordRun captures a trace set from a live run while collecting its
-// per-interval chip power.
-func recordRun(t *testing.T, intervals int, levelAt func(k int) int) (uarch.TraceSet, []float64) {
+// recordTraces records n intervals of Mix-1.
+func recordTraces(t *testing.T, n int) uarch.TraceSet {
 	t.Helper()
-	cfg := DefaultConfig(workload.Mix1())
-	cfg.RecordTraces = true
-	c := newCMP(t, cfg)
+	set, err := RecordTraces(DefaultConfig(workload.Mix1()), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+func newReplay(t *testing.T, cfg Config, set uarch.TraceSet) *CMP {
+	t.Helper()
+	c, err := NewReplay(cfg, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// stepPowers steps c for n intervals, setting every island to levelAt(k)
+// first when levelAt is non-nil, and returns the chip power series.
+func stepPowers(c *CMP, n int, levelAt func(k int) int) []float64 {
 	var powers []float64
-	for k := 0; k < intervals; k++ {
+	for k := 0; k < n; k++ {
 		if levelAt != nil {
 			for i := 0; i < c.NumIslands(); i++ {
 				c.SetLevel(i, levelAt(k))
@@ -25,67 +41,48 @@ func recordRun(t *testing.T, intervals int, levelAt func(k int) int) (uarch.Trac
 		}
 		powers = append(powers, c.Step().ChipPowerW)
 	}
-	set, err := c.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return set, powers
+	return powers
 }
 
 // Replaying a trace under the same DVFS trajectory must reproduce the live
 // run's observable behaviour exactly (power, throughput).
 func TestReplayReproducesLiveRun(t *testing.T) {
 	levels := func(k int) int { return (k / 7) % 8 }
-	set, livePowers := recordRun(t, 60, levels)
-
-	cfg := DefaultConfig(workload.Mix1())
-	cfg.Replay = &set
-	r := newCMP(t, cfg)
-	for k := 0; k < 60; k++ {
-		for i := 0; i < r.NumIslands(); i++ {
-			r.SetLevel(i, levels(k))
-		}
-		got := r.Step().ChipPowerW
-		if math.Abs(got-livePowers[k]) > 1e-9 {
-			t.Fatalf("interval %d: replay power %v, live %v", k, got, livePowers[k])
+	livePowers := stepPowers(newCMP(t, DefaultConfig(workload.Mix1())), 60, levels)
+	got := stepPowers(newReplay(t, DefaultConfig(workload.Mix1()), recordTraces(t, 60)), 60, levels)
+	for k := range got {
+		if got[k] != livePowers[k] {
+			t.Fatalf("interval %d: replay power %v, live %v", k, got[k], livePowers[k])
 		}
 	}
 }
 
 // The point of frequency-independent records: the same trace replayed at a
 // different operating point behaves like the workload would have — here,
-// pinned low, it must consume less power than the recorded high-frequency
-// run.
+// pinned low, it must consume less power than a live run at level 7.
 func TestReplayUnderDifferentTrajectory(t *testing.T) {
-	set, livePowers := recordRun(t, 40, func(int) int { return 7 })
-	cfg := DefaultConfig(workload.Mix1())
-	cfg.Replay = &set
-	r := newCMP(t, cfg)
+	livePowers := stepPowers(newCMP(t, DefaultConfig(workload.Mix1())), 40, func(int) int { return 7 })
+	r := newReplay(t, DefaultConfig(workload.Mix1()), recordTraces(t, 40))
 	var replayLow float64
-	for k := 0; k < 40; k++ {
-		for i := 0; i < r.NumIslands(); i++ {
-			r.SetLevel(i, 0)
-		}
-		replayLow += r.Step().ChipPowerW
+	for _, p := range stepPowers(r, 40, func(int) int { return 0 }) {
+		replayLow += p
 	}
 	var liveHigh float64
 	for _, p := range livePowers {
 		liveHigh += p
 	}
 	if replayLow >= liveHigh {
-		t.Errorf("replay at the bottom level (%v) should consume less than the level-7 recording (%v)", replayLow, liveHigh)
+		t.Errorf("replay at the bottom level (%v) should consume less than the level-7 live run (%v)", replayLow, liveHigh)
 	}
 }
 
 func TestReplayWrapsAround(t *testing.T) {
-	set, _ := recordRun(t, 10, nil)
 	cfg := DefaultConfig(workload.Mix1())
-	cfg.Replay = &set
 	// Decouple the memory-contention feedback (latency depends on previous
 	// traffic, which never becomes exactly periodic); with an effectively
 	// unlimited channel, replay behaviour is strictly periodic.
 	cfg.Mem.BandwidthGBs = 1e9
-	r := newCMP(t, cfg)
+	r := newReplay(t, cfg, recordTraces(t, 10))
 	// Run three times the trace length; throughput must repeat with period
 	// 10 (same records, same levels, same memory-contention pattern).
 	// Power is deliberately NOT compared: die temperature is integrative
@@ -110,40 +107,37 @@ func TestReplayWrapsAround(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	set, _ := recordRun(t, 5, nil)
 	// Mismatched mix: Mix-2 assigns different benchmarks to the cores.
-	cfg := DefaultConfig(workload.Mix2())
-	cfg.Replay = &set
-	if _, err := New(cfg); err == nil {
+	if _, err := NewReplay(DefaultConfig(workload.Mix2()), recordTraces(t, 5)); err == nil {
 		t.Error("replaying a Mix-1 trace on Mix-2 should be rejected")
 	}
 	// Missing core.
+	set := recordTraces(t, 5)
 	delete(set.Records, 3)
 	delete(set.Benchmarks, 3)
-	cfg = DefaultConfig(workload.Mix1())
-	cfg.Replay = &set
-	if _, err := New(cfg); err == nil {
+	if _, err := NewReplay(DefaultConfig(workload.Mix1()), set); err == nil {
 		t.Error("incomplete trace set should be rejected")
 	}
-	// Record+replay together.
-	set2, _ := recordRun(t, 5, nil)
-	cfg = DefaultConfig(workload.Mix1())
-	cfg.Replay = &set2
-	cfg.RecordTraces = true
-	if _, err := New(cfg); err == nil {
-		t.Error("recording while replaying should be rejected")
+	// Empty per-core trace.
+	set = recordTraces(t, 5)
+	set.Records[2] = nil
+	if _, err := NewReplay(DefaultConfig(workload.Mix1()), set); err == nil {
+		t.Error("empty per-core trace should be rejected")
 	}
 }
 
+// Recording needs at least one interval: an empty recording would save a
+// file no replay can load.
 func TestTracesRequiresRecording(t *testing.T) {
-	c := newCMP(t, DefaultConfig(workload.Mix1()))
-	if _, err := c.Traces(); err == nil {
-		t.Error("Traces without RecordTraces should error")
+	for _, n := range []int{0, -5} {
+		if _, err := RecordTraces(DefaultConfig(workload.Mix1()), n); err == nil {
+			t.Errorf("RecordTraces(%d) should error", n)
+		}
 	}
 }
 
 func TestTraceSetSaveLoadRoundTrip(t *testing.T) {
-	set, _ := recordRun(t, 8, nil)
+	set := recordTraces(t, 8)
 	var buf bytes.Buffer
 	if err := uarch.SaveTraces(&buf, set); err != nil {
 		t.Fatal(err)
@@ -166,13 +160,17 @@ func TestTraceSetSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("core %d benchmark name lost", id)
 		}
 	}
-	// Validation catches corrupt sets.
+	// Writer and reader agree on corrupt sets: an empty per-core trace is
+	// refused on save, and rejected on load when it arrives anyway.
 	bad := uarch.TraceSet{
 		Benchmarks: map[int]string{0: "bschls"},
 		Records:    map[int][]uarch.TraceRecord{0: {}},
 	}
 	var b2 bytes.Buffer
-	if err := uarch.SaveTraces(&b2, bad); err != nil {
+	if err := uarch.SaveTraces(&b2, bad); err == nil {
+		t.Error("empty per-core trace should be rejected on save")
+	}
+	if err := gob.NewEncoder(&b2).Encode(bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := uarch.LoadTraces(&b2); err == nil {
@@ -183,19 +181,22 @@ func TestTraceSetSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// Replay must be dramatically cheaper than live simulation (it skips the
-// cache and stream work); this guards the feature's raison d'être without
-// being timing-flaky — we compare work, not wall-clock.
+// A replay chip is isolated from the sampling half: it runs on the trace
+// alone — here twice around a 6-interval recording — and, simulating no
+// caches, reports zero cache statistics.
 func TestReplayCoreIsolated(t *testing.T) {
-	set, _ := recordRun(t, 6, nil)
-	cfg := DefaultConfig(workload.Mix1())
-	cfg.Replay = &set
-	r := newCMP(t, cfg)
+	r := newReplay(t, DefaultConfig(workload.Mix1()), recordTraces(t, 6))
 	sum := 0.0
 	for k := 0; k < 12; k++ {
 		sum += r.Step().TotalBIPS
 	}
 	if sum <= 0 {
 		t.Fatal("replay produced no throughput")
+	}
+	if s := r.CacheStats(); s != (CacheStats{}) {
+		t.Errorf("replay chip reports cache stats %+v, want zeros", s)
+	}
+	if s := r.IslandCacheStats(0); s != (CacheStats{}) {
+		t.Errorf("replay chip reports island cache stats %+v, want zeros", s)
 	}
 }

@@ -3,37 +3,36 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/cpm-sim/cpm/internal/cache"
-	"github.com/cpm-sim/cpm/internal/mem"
 	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/uarch"
 )
 
-// Sampler is the frequency-independent half of a chip, standing alone: the
-// per-core phase machines, address-stream generators and cache hierarchies
-// a live chip would own, advanced one interval at a time to produce
-// TraceRecord batches. Because records do not depend on the operating
-// point, every chip sharing the sampler's workload identity (seed, mix,
-// core and cache configuration — see farm.WorkloadKey) can be driven from
-// one Sampler through NewWithRecords, paying the expensive sampling work
-// (>95% of a live step) once per interval instead of once per chip.
+// Sampler is the frequency-independent half of a chip: the per-core phase
+// machines, address-stream generators and cache hierarchies, advanced one
+// interval at a time to produce TraceRecord batches. Every New chip owns
+// one. Because records do not depend on the operating point, every chip
+// sharing the sampler's workload identity (seed, mix, core and cache
+// configuration — see farm.WorkloadKey) can be driven from one Sampler
+// through NewWithRecords, paying the expensive sampling work (>95% of a
+// step) once per interval instead of once per chip.
 //
-// A Sampler built from cfg produces, interval for interval, exactly the
-// records a live New(cfg) chip's cores would have sampled: construction
-// derives the same per-core seeds and builds the same cache structures
-// through the same helpers. The memory system, thermal, variation and DVFS
-// parts of cfg are ignored — they belong to the compute half.
+// The memory system, thermal, variation and DVFS parts of cfg are ignored —
+// they belong to the compute half. With cfg.Parallel set, each island is
+// sampled on its own goroutine: islands share no sampling state and write
+// disjoint parts of the batch, so the records are bit-identical to
+// sequential sampling.
 //
 // Not safe for concurrent use; in a farm each sampler group is stepped by
 // one worker.
 type Sampler struct {
 	cfg     Config
 	islands []samplerIsland
-	cores   []*uarch.Core // global core-ID order
 	cursor  int
-	recs    []uarch.TraceRecord
+	recs    []uarch.TraceRecord // global core-ID order
 	// fresh reports that recs holds interval cursor-1 (false right after
 	// construction or restore, when no batch has been sampled yet).
 	fresh bool
@@ -42,19 +41,25 @@ type Sampler struct {
 type samplerIsland struct {
 	cores  []*uarch.Core
 	shared *cache.Banked
+	// first is the global ID of the island's first core: the island writes
+	// batch entries [first, first+len(cores)) and no others.
+	first int
 }
 
-// NewSampler builds the sampling half of New(cfg). Replay configurations
-// are rejected: replay cores have no sampling half.
+// sample writes one interval of the island's records into recs.
+func (isl *samplerIsland) sample(recs []uarch.TraceRecord) {
+	for j, core := range isl.cores {
+		recs[isl.first+j] = core.SampleInterval()
+	}
+}
+
+// NewSampler builds the sampling half of New(cfg).
 func NewSampler(cfg Config) (*Sampler, error) {
 	if err := cfg.Mix.Validate(); err != nil {
 		return nil, err
 	}
 	if err := cfg.Core.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Replay != nil {
-		return nil, errors.New("sim: replay chips have no sampling half")
 	}
 	if cfg.L2PrefetchDegree > 0 && cfg.SharedL2 {
 		return nil, errors.New("sim: L2 prefetching requires private L2 slices")
@@ -63,15 +68,8 @@ func NewSampler(cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Cores validate against a memory system at construction but never
-	// read it during sampling (latency belongs to the compute half); a
-	// throwaway instance satisfies the constructor.
-	memsys, err := mem.New(cfg.Mem)
-	if err != nil {
-		return nil, err
-	}
-	// The per-island core configurations must match the live chip's exactly
-	// — a class or tech mismatch would change the record stream (pipeline
+	// The per-island core configurations must match the chip's exactly — a
+	// class or tech mismatch would change the record stream (pipeline
 	// widths shape the CPI floor), so the sampler resolves islands through
 	// the same helpers as newChip.
 	_, islandModels, classes, err := resolveIslandModels(cfg)
@@ -89,28 +87,27 @@ func NewSampler(cfg Config) (*Sampler, error) {
 		if err != nil {
 			return nil, err
 		}
-		isl := samplerIsland{shared: shared}
+		isl := samplerIsland{shared: shared, first: coreID}
 		for _, prof := range islandProfiles {
 			h, err := coreHierarchy(cfg, shared)
 			if err != nil {
 				return nil, err
 			}
-			core, err := uarch.NewCore(coreID, stats.DeriveSeed(cfg.Seed, uint64(coreID)), coreCfg, prof, h, memsys)
+			core, err := uarch.NewCore(coreID, stats.DeriveSeed(cfg.Seed, uint64(coreID)), coreCfg, prof, h)
 			if err != nil {
-				return nil, fmt.Errorf("sim: sampler core %d (%s): %w", coreID, prof.Name, err)
+				return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
 			}
 			isl.cores = append(isl.cores, core)
-			s.cores = append(s.cores, core)
 			coreID++
 		}
 		s.islands = append(s.islands, isl)
 	}
-	s.recs = make([]uarch.TraceRecord, len(s.cores))
+	s.recs = make([]uarch.TraceRecord, coreID)
 	return s, nil
 }
 
 // NumCores returns the core count of the sampled chip.
-func (s *Sampler) NumCores() int { return len(s.cores) }
+func (s *Sampler) NumCores() int { return len(s.recs) }
 
 // Cursor returns the next interval the sampler will generate.
 func (s *Sampler) Cursor() int { return s.cursor }
@@ -124,8 +121,20 @@ func (s *Sampler) Cursor() int { return s.cursor }
 func (s *Sampler) Records(k int) []uarch.TraceRecord {
 	switch {
 	case k == s.cursor:
-		for i, core := range s.cores {
-			s.recs[i] = core.SampleInterval()
+		if s.cfg.Parallel && len(s.islands) > 1 {
+			var wg sync.WaitGroup
+			for i := range s.islands {
+				wg.Add(1)
+				go func(isl *samplerIsland) {
+					defer wg.Done()
+					isl.sample(s.recs)
+				}(&s.islands[i])
+			}
+			wg.Wait()
+		} else {
+			for i := range s.islands {
+				s.islands[i].sample(s.recs)
+			}
 		}
 		s.cursor++
 		s.fresh = true
@@ -137,19 +146,10 @@ func (s *Sampler) Records(k int) []uarch.TraceRecord {
 	return s.recs
 }
 
-// Advance samples and discards n intervals — warming the sampler past a
-// stretch no chip will consume (e.g. warm-up intervals already baked into
-// forked chip snapshots).
-func (s *Sampler) Advance(n int) {
-	for i := 0; i < n; i++ {
-		s.Records(s.cursor)
-	}
-}
-
-// CacheStats aggregates the sampler's cumulative cache counters exactly as
-// CMP.CacheStats would for the live twin chip: summed over cores, shared
-// L2s counted once per island. Record-driven chips delegate here via
-// CMP.SetCacheStatsSource (all chips of a group share these counters).
+// CacheStats aggregates the sampler's cumulative cache counters: summed
+// over cores, shared L2s counted once per island. Chips read them through
+// CMP.SetCacheStatsSource (all chips of a farm group share these
+// counters).
 func (s *Sampler) CacheStats() CacheStats {
 	var out CacheStats
 	for _, isl := range s.islands {
@@ -165,10 +165,9 @@ func (s *Sampler) CacheStats() CacheStats {
 	return out
 }
 
-// IslandCacheStats aggregates island i's cumulative cache counters exactly
-// as CMP.IslandCacheStats would for the live twin chip: summed over the
-// island's cores, a shared L2 counted once. Record-driven chips delegate
-// here via CMP.SetIslandCacheStatsSource.
+// IslandCacheStats aggregates island i's cumulative cache counters: summed
+// over the island's cores, a shared L2 counted once. Chips read them
+// through CMP.SetIslandCacheStatsSource.
 func (s *Sampler) IslandCacheStats(i int) CacheStats {
 	var out CacheStats
 	isl := s.islands[i]
@@ -186,11 +185,11 @@ func (s *Sampler) IslandCacheStats(i int) CacheStats {
 // Snapshot appends the sampler's complete dynamic state: the cursor and
 // per island its shared L2 (once, when shared) and per-core generator and
 // cache state. The cached record batch is not captured — snapshots are
-// taken between farm rounds, when every sharing chip has consumed it and
-// the next request advances the cursor.
+// taken between steps (between farm rounds for a shared sampler), when
+// every chip has consumed it and the next request advances the cursor.
 func (s *Sampler) Snapshot(e *snapshot.Encoder) {
 	e.Tag(snapshot.TagSampler)
-	e.Int(len(s.cores))
+	e.Int(len(s.recs))
 	e.Int(len(s.islands))
 	for _, isl := range s.islands {
 		e.Int(len(isl.cores))
@@ -217,9 +216,9 @@ func (s *Sampler) Restore(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if nCores != len(s.cores) || nIslands != len(s.islands) {
+	if nCores != len(s.recs) || nIslands != len(s.islands) {
 		return snapshot.ShapeErrorf("snapshot sampler is %d cores / %d islands, target is %d / %d",
-			nCores, nIslands, len(s.cores), len(s.islands))
+			nCores, nIslands, len(s.recs), len(s.islands))
 	}
 	for i, isl := range s.islands {
 		if n := d.Int(); d.Err() == nil && n != len(isl.cores) {

@@ -7,42 +7,28 @@ import (
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-// TestSamplerMatchesLiveChipRecords is the sampler's core contract at the
-// sim layer: interval for interval, the standalone sampler produces exactly
-// the records a live chip built from the same config samples — including
-// while the live chip's DVFS trajectory diverges (records are frequency-
-// independent; the live chip here runs unmanaged at its initial level,
-// which is enough to pin the identity since check's farm tests cover
-// managed trajectories end to end).
+// TestSamplerMatchesLiveChipRecords pins the recording contract: the
+// records RecordTraces samples are, interval for interval, the records a
+// New chip built from the same config consumes — while the chip's DVFS
+// trajectory varies, because records are frequency-independent.
 func TestSamplerMatchesLiveChipRecords(t *testing.T) {
 	const intervals = 40
 	cfg := DefaultConfig(workload.Mix1())
 	cfg.Seed = 9
-	cfg.RecordTraces = true
-	live, err := New(cfg)
+	set, err := RecordTraces(cfg, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := newCMP(t, cfg)
 	for k := 0; k < intervals; k++ {
+		for i := 0; i < live.NumIslands(); i++ {
+			live.SetLevel(i, (k/5+i)%8)
+		}
 		live.Step()
-	}
-	set, err := live.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scfg := cfg
-	scfg.RecordTraces = false
-	s, err := NewSampler(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < intervals; k++ {
-		recs := s.Records(k)
-		for id := 0; id < s.NumCores(); id++ {
-			if recs[id] != set.Records[id][k] {
-				t.Fatalf("interval %d core %d: sampler record %+v, live chip sampled %+v",
-					k, id, recs[id], set.Records[id][k])
+		for id, rec := range live.sampler.recs {
+			if rec != set.Records[id][k] {
+				t.Fatalf("interval %d core %d: recorded %+v, live chip sampled %+v",
+					k, id, set.Records[id][k], rec)
 			}
 		}
 	}
@@ -73,9 +59,9 @@ func TestSamplerLockstepContract(t *testing.T) {
 			s.Records(bad)
 		}()
 	}
-	s.Advance(5)
-	if s.Cursor() != 7 {
-		t.Fatalf("cursor = %d after Advance(5), want 7", s.Cursor())
+	s.Records(2)
+	if s.Cursor() != 3 {
+		t.Fatalf("cursor = %d after the third batch, want 3", s.Cursor())
 	}
 }
 
@@ -88,7 +74,9 @@ func TestSamplerSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Advance(13)
+	for k := 0; k < 13; k++ {
+		a.Records(k)
+	}
 	e := snapshot.NewEncoder()
 	a.Snapshot(e)
 

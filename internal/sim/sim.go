@@ -4,29 +4,32 @@
 // HotLeakage played for the paper.
 //
 // The engine advances in PIC-sized intervals (2.5 ms by default). Each
-// interval, every core executes under its island's current operating point;
-// island and chip power, utilization, BIPS and temperatures are produced for
-// the controllers sitting on top (internal/core wires the GPM and PICs to
-// this engine; internal/maxbips drives it for the baseline).
+// interval splits in two halves. A record source supplies every core's
+// frequency-independent workload record (uarch.TraceRecord): a Sampler
+// runs the phase machines, address streams and caches, or a recorded trace
+// is replayed. The chip then evaluates each record under its island's
+// current operating point, and island and chip power, utilization, BIPS and
+// temperatures are produced for the controllers sitting on top
+// (internal/core wires the GPM and PICs to this engine; internal/maxbips
+// drives it for the baseline). Every chip steps the same way: New builds
+// one over a sampler it owns, NewWithRecords over a caller's (possibly
+// shared) source and NewReplay over a trace.
 //
 // Cross-island couplings (shared-memory queueing and lateral heat flow) are
-// applied with one interval of delay, so islands are fully independent
-// within an interval. This is what makes the parallel executor (one
-// goroutine per island, barrier per interval) produce bit-identical results
-// to the sequential one — asserted by tests.
+// applied with one interval of delay, and islands share no sampling state.
+// This is what lets a sampler sample its islands on parallel goroutines
+// with results bit-identical to sequential sampling — asserted by tests.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/cpm-sim/cpm/internal/cache"
 	"github.com/cpm-sim/cpm/internal/island"
 	"github.com/cpm-sim/cpm/internal/mem"
 	"github.com/cpm-sim/cpm/internal/noc"
 	"github.com/cpm-sim/cpm/internal/power"
-	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/thermal"
 	"github.com/cpm-sim/cpm/internal/uarch"
 	"github.com/cpm-sim/cpm/internal/variation"
@@ -86,17 +89,11 @@ type Config struct {
 	// with one interval of delay. Nil disables the interconnect (memory
 	// controller adjacency, the pre-mesh idealization).
 	NoC *noc.Config
-	// Parallel runs islands concurrently (bit-identical to sequential).
+	// Parallel makes the sampler built from this config (NewSampler, and
+	// so every New chip's own) sample each island on its own goroutine,
+	// bit-identically to sequential sampling. The frequency-dependent half
+	// of a step is always sequential.
 	Parallel bool
-	// RecordTraces captures every core's per-interval TraceRecord; retrieve
-	// the set with CMP.Traces() and replay it via Replay.
-	RecordTraces bool
-	// Replay, when non-nil, replaces the live cores with trace-replaying
-	// ones: the chip re-executes the recorded workload behaviour (possibly
-	// under a different controller or DVFS trajectory), skipping phase
-	// generation and cache simulation. Core/benchmark assignments must
-	// match the mix.
-	Replay *uarch.TraceSet
 }
 
 // DefaultConfig returns the paper's baseline configuration (Table I) for the
@@ -161,38 +158,23 @@ func (r Result) Clone() Result {
 	return r
 }
 
-// coreModel is the per-core surface the engine drives, satisfied by both
-// the live uarch.Core and the trace-replaying uarch.ReplayCore.
-type coreModel interface {
-	RunInterval(freqMHz, intervalSec, overheadFrac float64) uarch.IntervalStats
-	Profile() workload.Profile
-	SetExtraMemLatency(func() float64)
-}
-
-// recordFinisher is the capability record-driven chips step cores through:
-// evaluating an externally supplied TraceRecord at the core's operating
-// point. uarch.ComputeCore (and uarch.Core) implement it.
-type recordFinisher interface {
-	FinishInterval(rec uarch.TraceRecord, freqMHz, intervalSec, overheadFrac float64) uarch.IntervalStats
-}
-
 // RecordSource supplies per-core TraceRecords, one batch per interval, to
-// chips built with NewWithRecords. The returned slice is indexed by global
-// core ID and must stay valid until the next Records call.
+// a chip's Step. The returned slice is indexed by global core ID and must
+// stay valid until the next Records call.
 //
 // The contract is lockstep: consumers ask for interval k only when the
 // source's cursor is at k (which advances it) or at k+1 (which returns the
 // cached batch, so several chips sharing one source can each step interval
-// k). Implementations panic on out-of-order access — it means chips
-// sharing a sampler have diverged, which would silently corrupt every
-// chip's workload stream.
+// k). A Sampler panics on out-of-order access — it means chips sharing it
+// have diverged, which would silently corrupt every chip's workload
+// stream.
 type RecordSource interface {
 	Records(k int) []uarch.TraceRecord
 }
 
 type islandState struct {
 	isl       *island.Island
-	cores     []coreModel
+	cores     []*uarch.ComputeCore
 	maxPowerW float64
 	// model is the island's own power model: on a homogeneous chip every
 	// island aliases the chip model (pointer-identical, so the legacy
@@ -200,15 +182,6 @@ type islandState struct {
 	// class carries its own scaled table and reference parameters.
 	model *power.Model
 	class power.CoreClass
-	// sharedL2 is the island's shared banked L2 when Config.SharedL2 is
-	// set (nil otherwise); retained so a snapshot captures the shared
-	// state exactly once per island instead of once per core.
-	sharedL2 *cache.Banked
-	// scratch for the parallel executor
-	res       IslandResult
-	memBlocks uint64
-	powers    []float64 // per-core power of this interval (island-local)
-	cpis      []float64 // per-core CPI of this interval (island-local)
 }
 
 // CMP is a simulated chip-multiprocessor instance.
@@ -222,16 +195,15 @@ type CMP struct {
 
 	mesh *noc.Mesh
 
-	recorded [][]uarch.TraceRecord
+	// src supplies every interval's per-core TraceRecords.
+	src RecordSource
+	// sampler is src when the chip owns it (New), nil otherwise. An owned
+	// sampler is part of the chip's snapshot; any other source belongs to
+	// whoever built the chip.
+	sampler *Sampler
 
-	// recSrc, when non-nil, supplies every interval's per-core TraceRecords
-	// in place of live sampling: the chip was built by NewWithRecords and
-	// its cores are compute-only. recs is the current interval's batch.
-	recSrc RecordSource
-	recs   []uarch.TraceRecord
-
-	// cacheStatsSrc, when non-nil, overrides CacheStats — record-driven
-	// chips have no caches of their own and delegate to their sampler.
+	// cacheStatsSrc supplies CacheStats (nil reports zeros): the chip
+	// simulates no caches, its sampler does.
 	cacheStatsSrc func() CacheStats
 	// islandCacheStatsSrc is the per-island twin of cacheStatsSrc.
 	islandCacheStatsSrc func(int) CacheStats
@@ -239,7 +211,6 @@ type CMP struct {
 	nCores     int
 	maxChipW   float64
 	corePowers []float64 // global, indexed by core ID
-	coreCPIs   []float64 // global, indexed by core ID
 	// resIslands is the reused backing array of every Result.Islands the
 	// chip returns — part of the zero-allocation steady-state contract.
 	resIslands []IslandResult
@@ -261,37 +232,50 @@ func (c *CMP) AddStepHook(fn func(Result)) {
 	}
 }
 
-// New builds a CMP from cfg.
+// New builds a CMP from cfg over a sampler of its own (NewSampler(cfg)):
+// every Step samples one interval of records and evaluates it at the
+// islands' operating points. The chip reads its cache statistics from the
+// sampler, and its snapshot carries the sampler.
 func New(cfg Config) (*CMP, error) {
-	return newChip(cfg, nil)
+	c, err := newChip(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewSampler(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.src, c.sampler = s, s
+	c.SetCacheStatsSource(s.CacheStats)
+	c.SetIslandCacheStatsSource(s.IslandCacheStats)
+	return c, nil
 }
 
-// NewWithRecords builds a record-driven chip: every core is a thin
-// uarch.ComputeCore holding no caches or generators, and each Step consumes
-// one batch of per-core TraceRecords from src (normally a sim.Sampler built
-// from the same Config). Everything frequency- or chip-dependent — DVFS
+// NewWithRecords builds a chip that draws its records from src (normally a
+// Sampler built from the same Config and shared by a farm group) instead
+// of owning a sampler. Everything frequency- or chip-dependent — DVFS
 // state, power, leakage, thermal RC network, memory and NoC congestion
-// feedback, process variation — remains per-chip, so a record-driven chip
-// fed the records its own live twin would have sampled is bit-identical to
-// that twin while costing a few KB and a few µs per interval instead of a
-// few hundred KB and ~100µs per core.
-//
-// Incompatible with RecordTraces and Replay (there is nothing to record,
-// and replay already has its own record stream).
+// feedback, process variation — remains per-chip, so a chip fed the
+// records New(cfg) would have sampled is bit-identical to it while costing
+// a few KB and a few µs per interval instead of a few hundred KB and ~100µs
+// per core. The source is not part of the chip's snapshot, and the chip
+// reports zero cache statistics until its owner installs a source
+// (SetCacheStatsSource).
 func NewWithRecords(cfg Config, src RecordSource) (*CMP, error) {
 	if src == nil {
 		return nil, errors.New("sim: NewWithRecords needs a record source")
 	}
-	if cfg.RecordTraces {
-		return nil, errors.New("sim: cannot record traces from a record-driven chip")
+	c, err := newChip(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Replay != nil {
-		return nil, errors.New("sim: cannot replay into a record-driven chip")
-	}
-	return newChip(cfg, src)
+	c.src = src
+	return c, nil
 }
 
-func newChip(cfg Config, src RecordSource) (*CMP, error) {
+// newChip builds the frequency-dependent half of cfg: islands of compute
+// cores, memory, NoC and thermal state. The caller sets the record source.
+func newChip(cfg Config) (*CMP, error) {
 	if err := cfg.Mix.Validate(); err != nil {
 		return nil, err
 	}
@@ -336,7 +320,6 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 		varmap:     cfg.Variation,
 		nCores:     nCores,
 		corePowers: make([]float64, nCores),
-		coreCPIs:   make([]float64, nCores),
 	}
 	if cfg.NoC != nil {
 		mesh, err := noc.New(*cfg.NoC)
@@ -348,14 +331,7 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 		}
 		c.mesh = mesh
 	}
-	if cfg.RecordTraces {
-		if cfg.Replay != nil {
-			return nil, errors.New("sim: cannot record while replaying")
-		}
-		c.recorded = make([][]uarch.TraceRecord, nCores)
-	}
 
-	c.recSrc = src
 	coreID := 0
 	for islandID, islandProfiles := range profiles {
 		st := &islandState{model: islandModels[islandID], class: classes[islandID]}
@@ -372,50 +348,14 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 				initLevel, islandID, st.model.Table.Levels())
 		}
 		var coreIDs []int
-		if src == nil {
-			shared, err := islandL2(cfg, len(islandProfiles))
-			if err != nil {
-				return nil, err
-			}
-			st.sharedL2 = shared
-		}
 		for _, prof := range islandProfiles {
-			var core coreModel
-			switch {
-			case src != nil:
-				// Thin member chip: no caches, no generators; records
-				// arrive from the shared sampler. The L2 latency records
-				// are charged at is the Table I per-core figure in every
-				// L2 configuration (banked shares it; the prefetcher
-				// wraps a slice with it).
-				cc, err := uarch.NewComputeCore(coreID, coreCfg, prof,
-					cache.TableIL2PerCore().LatencyCycles, memsys)
-				if err != nil {
-					return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
-				}
-				core = cc
-			case cfg.Replay != nil:
-				rc, err := replayCoreFor(cfg, coreCfg, coreID, prof, memsys)
-				if err != nil {
-					return nil, err
-				}
-				core = rc
-			default:
-				h, err := coreHierarchy(cfg, st.sharedL2)
-				if err != nil {
-					return nil, err
-				}
-				live, err := uarch.NewCore(coreID, stats.DeriveSeed(cfg.Seed, uint64(coreID)), coreCfg, prof, h, memsys)
-				if err != nil {
-					return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
-				}
-				if cfg.RecordTraces {
-					id := coreID
-					live.SetRecorder(func(rec uarch.TraceRecord) {
-						c.recorded[id] = append(c.recorded[id], rec)
-					})
-				}
-				core = live
+			// Records are charged at the Table I per-core L2 latency in
+			// every L2 configuration (banked shares it; the prefetcher
+			// wraps a slice with it).
+			core, err := uarch.NewComputeCore(coreID, coreCfg, prof,
+				cache.TableIL2PerCore().LatencyCycles, memsys)
+			if err != nil {
+				return nil, fmt.Errorf("sim: core %d (%s): %w", coreID, prof.Name, err)
 			}
 			if c.mesh != nil {
 				tile := coreID
@@ -431,8 +371,6 @@ func newChip(cfg Config, src RecordSource) (*CMP, error) {
 		}
 		st.isl = isl
 		st.maxPowerW = float64(len(st.cores)) * st.model.CoreMaxPower()
-		st.powers = make([]float64, len(st.cores))
-		st.cpis = make([]float64, len(st.cores))
 		c.islands = append(c.islands, st)
 	}
 	// On a homogeneous chip the chip maximum is computed exactly as it
@@ -526,8 +464,7 @@ func islandL2(cfg Config, islandCores int) (*cache.Banked, error) {
 
 // coreHierarchy builds one core's cache hierarchy, wiring the island's
 // shared L2 when present and otherwise a private slice with the configured
-// prefetcher. Shared by the live constructor and the farm sampler so both
-// produce bit-identical cache state.
+// prefetcher.
 func coreHierarchy(cfg Config, shared *cache.Banked) (*cache.Hierarchy, error) {
 	l1i, err := cache.New(cache.TableIL1())
 	if err != nil {
@@ -669,52 +606,16 @@ func (c *CMP) Thermals() *thermal.Model { return c.thermals }
 // TotalInstructions returns cumulative instructions across all cores.
 func (c *CMP) TotalInstructions() float64 { return c.totalInstr }
 
-// SetCacheStatsSource overrides CacheStats with an external supplier —
-// record-driven chips simulate no caches and delegate to the sampler that
-// feeds them. A nil source restores the chip's own counters.
+// SetCacheStatsSource sets where CacheStats reads from. The chip simulates
+// no caches; its sampler does, so a NewWithRecords chip's owner points
+// this at the sampler that feeds it (New does so for the chip's own). A
+// nil source reports zeros.
 func (c *CMP) SetCacheStatsSource(f func() CacheStats) { c.cacheStatsSrc = f }
 
-// SetIslandCacheStatsSource overrides IslandCacheStats with an external
-// per-island supplier, the island-resolution twin of SetCacheStatsSource.
-// A nil source restores the chip's own counters.
+// SetIslandCacheStatsSource sets where IslandCacheStats reads from, the
+// island-resolution twin of SetCacheStatsSource. A nil source reports
+// zeros.
 func (c *CMP) SetIslandCacheStatsSource(f func(int) CacheStats) { c.islandCacheStatsSrc = f }
-
-// CorePowers copies the previous interval's per-core oracle power (W) into
-// dst, which must have NumCores capacity; it returns dst[:NumCores].
-// Allocation-free when dst is large enough — the farm layer's column
-// extraction path.
-func (c *CMP) CorePowers(dst []float64) []float64 {
-	return append(dst[:0], c.corePowers...)
-}
-
-// CoreCPIs copies the previous interval's per-core effective CPI into dst,
-// mirroring CorePowers.
-func (c *CMP) CoreCPIs(dst []float64) []float64 {
-	return append(dst[:0], c.coreCPIs...)
-}
-
-// CoreTemps copies the current per-core temperatures (°C) into dst,
-// mirroring CorePowers.
-func (c *CMP) CoreTemps(dst []float64) []float64 {
-	dst = dst[:0]
-	for id := 0; id < c.nCores; id++ {
-		dst = append(dst, c.thermals.Temp(id))
-	}
-	return dst
-}
-
-// CoreFreqsMHz copies the current per-core operating frequency into dst,
-// mirroring CorePowers (cores of an island share its operating point).
-func (c *CMP) CoreFreqsMHz(dst []float64) []float64 {
-	dst = dst[:0]
-	for _, st := range c.islands {
-		f := st.isl.OperatingPoint().FreqMHz
-		for range st.cores {
-			dst = append(dst, f)
-		}
-	}
-	return dst
-}
 
 // CacheStats aggregates cumulative cache counters across the chip, one
 // Stats per hierarchy level.
@@ -724,63 +625,25 @@ type CacheStats struct {
 	L2  cache.Stats
 }
 
-// cacheStatser is the optional per-core capability CacheStats aggregates;
-// live uarch.Cores implement it, trace-replaying cores (which simulate no
-// caches) do not.
-type cacheStatser interface {
-	CacheStats() (l1i, l1d, l2 cache.Stats)
-}
-
-// CacheStats returns the chip's cumulative cache counters, summed over
-// cores. With a shared per-island L2, the shared cache's counters are
-// counted once per island, not once per core. Replay cores contribute
-// nothing (they re-execute recorded cache behaviour without caches).
-// Allocation-free; safe to call between Steps.
+// CacheStats returns the chip's cumulative cache counters from its
+// statistics source (see SetCacheStatsSource): summed over cores, with a
+// shared per-island L2 counted once per island. A chip without a source —
+// a replay chip, which re-executes recorded cache behaviour — reports
+// zeros. Allocation-free; safe to call between Steps.
 func (c *CMP) CacheStats() CacheStats {
-	if c.cacheStatsSrc != nil {
-		return c.cacheStatsSrc()
+	if c.cacheStatsSrc == nil {
+		return CacheStats{}
 	}
-	var out CacheStats
-	for _, st := range c.islands {
-		for j, core := range st.cores {
-			cs, ok := core.(cacheStatser)
-			if !ok {
-				continue
-			}
-			l1i, l1d, l2 := cs.CacheStats()
-			addCacheStats(&out.L1I, l1i)
-			addCacheStats(&out.L1D, l1d)
-			if !c.cfg.SharedL2 || j == 0 {
-				addCacheStats(&out.L2, l2)
-			}
-		}
-	}
-	return out
+	return c.cacheStatsSrc()
 }
 
 // IslandCacheStats returns island i's cumulative cache counters, the
-// per-island resolution of CacheStats with identical semantics: summed over
-// the island's cores, a shared L2 counted once. Record-driven chips
-// delegate to the sampler via SetIslandCacheStatsSource. Allocation-free;
-// safe to call between Steps.
+// per-island resolution of CacheStats with identical semantics.
 func (c *CMP) IslandCacheStats(i int) CacheStats {
-	if c.islandCacheStatsSrc != nil {
-		return c.islandCacheStatsSrc(i)
+	if c.islandCacheStatsSrc == nil {
+		return CacheStats{}
 	}
-	var out CacheStats
-	for j, core := range c.islands[i].cores {
-		cs, ok := core.(cacheStatser)
-		if !ok {
-			continue
-		}
-		l1i, l1d, l2 := cs.CacheStats()
-		addCacheStats(&out.L1I, l1i)
-		addCacheStats(&out.L1D, l1d)
-		if !c.cfg.SharedL2 || j == 0 {
-			addCacheStats(&out.L2, l2)
-		}
-	}
-	return out
+	return c.islandCacheStatsSrc(i)
 }
 
 func addCacheStats(dst *cache.Stats, s cache.Stats) {
@@ -794,43 +657,19 @@ func addCacheStats(dst *cache.Stats, s cache.Stats) {
 // returned Result's Islands slice is valid until the next Step (see
 // Result.Clone).
 func (c *CMP) Step() Result {
-	if c.recSrc != nil {
-		// Fetch the interval's records before the island loop so the
-		// parallel executor only reads the shared batch.
-		c.recs = c.recSrc.Records(c.interval)
-		if len(c.recs) != c.nCores {
-			panic(fmt.Sprintf("sim: record source supplied %d records for %d cores", len(c.recs), c.nCores))
-		}
+	recs := c.src.Records(c.interval)
+	if len(recs) != c.nCores {
+		panic(fmt.Sprintf("sim: record source supplied %d records for %d cores", len(recs), c.nCores))
 	}
-	if c.cfg.Parallel && len(c.islands) > 1 {
-		var wg sync.WaitGroup
-		for _, st := range c.islands {
-			wg.Add(1)
-			go func(st *islandState) {
-				defer wg.Done()
-				c.stepIsland(st)
-			}(st)
-		}
-		wg.Wait()
-	} else {
-		for _, st := range c.islands {
-			c.stepIsland(st)
-		}
-	}
-
-	// Reduce: chip aggregates and delayed cross-island couplings.
+	// Islands, then the chip aggregates and delayed cross-island couplings.
 	res := Result{Interval: c.interval, Islands: c.resIslands}
 	var blocks uint64
 	for i, st := range c.islands {
-		res.Islands[i] = st.res
-		res.ChipPowerW += st.res.PowerW
-		res.TotalBIPS += st.res.BIPS
-		c.totalInstr += st.res.Instructions
-		blocks += st.memBlocks
-		for j, id := range st.isl.CoreIDs() {
-			c.corePowers[id] = st.powers[j]
-			c.coreCPIs[id] = st.cpis[j]
-		}
+		r := &res.Islands[i]
+		blocks += c.stepIsland(st, recs, r)
+		res.ChipPowerW += r.PowerW
+		res.TotalBIPS += r.BIPS
+		c.totalInstr += r.Instructions
 	}
 	res.ChipPowerFrac = res.ChipPowerW / c.maxChipW
 	c.memsys.ObserveTraffic(blocks, c.cfg.IntervalSec)
@@ -850,73 +689,34 @@ func (c *CMP) Step() Result {
 	return res
 }
 
-// stepIsland runs one island for one interval, writing only island-local
-// state (plus reads of previous-interval global state), so islands may run
-// concurrently.
-func (c *CMP) stepIsland(st *islandState) {
+// stepIsland evaluates one island's records at its operating point,
+// writing the island's observation into r and its cores' powers into
+// corePowers, and returns the island's memory block transfers.
+func (c *CMP) stepIsland(st *islandState, recs []uarch.TraceRecord, r *IslandResult) uint64 {
 	overhead := st.isl.ConsumeOverhead()
 	op := st.isl.OperatingPoint()
-	r := IslandResult{
+	*r = IslandResult{
 		Island:       st.isl.ID(),
 		Level:        st.isl.Level(),
 		FreqMHz:      op.FreqMHz,
 		Transitioned: overhead > 0,
 	}
-	st.memBlocks = 0
+	var blocks uint64
 	for j, core := range st.cores {
 		coreID := st.isl.CoreIDs()[j]
-		var cs uarch.IntervalStats
-		if c.recs != nil {
-			cs = core.(recordFinisher).FinishInterval(c.recs[coreID], op.FreqMHz, c.cfg.IntervalSec, overhead)
-		} else {
-			cs = core.RunInterval(op.FreqMHz, c.cfg.IntervalSec, overhead)
-		}
+		cs := core.FinishInterval(recs[coreID], op.FreqMHz, c.cfg.IntervalSec, overhead)
 		act := power.DeriveActivity(cs.Activity)
 		pw := st.model.Dynamic.Power(op, act) +
 			st.model.Leakage.Power(op.VoltageV, c.thermals.Temp(coreID), c.varmap.CoreMult(coreID))
-		st.powers[j] = pw
-		st.cpis[j] = cs.CPI
+		c.corePowers[coreID] = pw
 		r.PowerW += pw
 		r.MeanUtil += cs.Utilization
 		r.BIPS += cs.BIPS
 		r.Instructions += cs.Instructions
-		st.memBlocks += cs.MemBlocks
+		blocks += cs.MemBlocks
 	}
 	r.MeanUtil /= float64(len(st.cores))
 	r.PowerFracIsland = r.PowerW / st.maxPowerW
 	r.PowerFracChip = r.PowerW / c.maxChipW
-	st.res = r
-}
-
-// replayCoreFor validates the replay assignment for one core and builds its
-// ReplayCore.
-func replayCoreFor(cfg Config, coreCfg uarch.Config, coreID int, prof workload.Profile, memsys *mem.System) (*uarch.ReplayCore, error) {
-	bench, ok := cfg.Replay.Benchmarks[coreID]
-	if !ok {
-		return nil, fmt.Errorf("sim: replay set has no trace for core %d", coreID)
-	}
-	if bench != prof.Name {
-		return nil, fmt.Errorf("sim: core %d trace was recorded from %s, mix assigns %s", coreID, bench, prof.Name)
-	}
-	return uarch.NewReplayCore(coreID, coreCfg, prof, cfg.Replay.Records[coreID],
-		cache.TableIL2PerCore().LatencyCycles, memsys)
-}
-
-// Traces returns the recorded trace set (RecordTraces must have been set).
-func (c *CMP) Traces() (uarch.TraceSet, error) {
-	if c.recorded == nil {
-		return uarch.TraceSet{}, errors.New("sim: tracing was not enabled")
-	}
-	set := uarch.TraceSet{
-		Benchmarks: map[int]string{},
-		Records:    map[int][]uarch.TraceRecord{},
-	}
-	for _, st := range c.islands {
-		for j, core := range st.cores {
-			id := st.isl.CoreIDs()[j]
-			set.Benchmarks[id] = core.Profile().Name
-			set.Records[id] = c.recorded[id]
-		}
-	}
-	return set, nil
+	return blocks
 }

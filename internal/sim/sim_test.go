@@ -158,8 +158,8 @@ func TestSetLevelTransitionOverhead(t *testing.T) {
 	}
 }
 
-// The load-bearing property of the whole repository: the parallel executor
-// must produce bit-identical results to the sequential one.
+// The load-bearing property of the whole repository: parallel sampling must
+// produce bit-identical results to sequential sampling.
 func TestParallelMatchesSequential(t *testing.T) {
 	mk := func(parallel bool) *CMP {
 		cfg := DefaultConfig(workload.Mix1())

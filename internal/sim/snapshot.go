@@ -1,21 +1,11 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/snapshot"
-	"github.com/cpm-sim/cpm/internal/uarch"
-)
-
-// Core kind bytes written per core so a restore verifies live vs replay
-// wiring matches the snapshot.
-const (
-	coreKindLive    uint8 = 1
-	coreKindReplay  uint8 = 2
-	coreKindCompute uint8 = 3
 )
 
 // Fingerprint summarizes the chip's structural identity — the part of the
@@ -43,15 +33,11 @@ func (c *CMP) Fingerprint() string {
 
 // Snapshot appends the chip's complete dynamic state: interval counter,
 // cumulative instructions, memory and NoC congestion, thermal node
-// temperatures, the process-variation map, and per island its DVFS state,
-// shared L2 (once, when shared) and per-core generator/cache state.
-//
-// Chips recording traces cannot be snapshotted: the accumulated trace
-// records live outside the restore path and would silently be lost.
+// temperatures, the process-variation map, per island its DVFS state and
+// per-core instruction counts, and — behind a presence flag — the sampler
+// a New chip owns. A chip fed by any other record source leaves the source
+// to its owner (the farm captures each group's shared sampler once).
 func (c *CMP) Snapshot(e *snapshot.Encoder) error {
-	if c.recorded != nil {
-		return errors.New("sim: cannot snapshot a chip that is recording traces")
-	}
 	e.Tag(snapshot.TagChip)
 	// Structural echo, validated on restore before any state is touched.
 	e.Int(c.nCores)
@@ -84,27 +70,15 @@ func (c *CMP) Snapshot(e *snapshot.Encoder) error {
 	c.varmap.Snapshot(e)
 	for _, st := range c.islands {
 		st.isl.Snapshot(e)
-		e.Bool(st.sharedL2 != nil)
-		if st.sharedL2 != nil {
-			st.sharedL2.Snapshot(e)
+		for _, core := range st.cores {
+			core.Snapshot(e)
 		}
-		for _, cm := range st.cores {
-			switch core := cm.(type) {
-			case *uarch.Core:
-				e.U8(coreKindLive)
-				core.Snapshot(e, st.sharedL2 == nil)
-			case *uarch.ReplayCore:
-				e.U8(coreKindReplay)
-				core.Snapshot(e)
-			case *uarch.ComputeCore:
-				// The workload half lives in the chip's sampler, captured
-				// separately by whoever owns it (the farm layer).
-				e.U8(coreKindCompute)
-				core.Snapshot(e)
-			default:
-				return errors.New("sim: unsnapshotable core model")
-			}
-		}
+	}
+	// v4: the owned sampler. Restore rejects a presence mismatch, so a
+	// chip's workload state never silently goes missing or appears.
+	e.Bool(c.sampler != nil)
+	if c.sampler != nil {
+		c.sampler.Snapshot(e)
 	}
 	return nil
 }
@@ -113,9 +87,6 @@ func (c *CMP) Snapshot(e *snapshot.Encoder) error {
 // structurally identical chip. On any error the chip may be partially
 // written and must be discarded.
 func (c *CMP) Restore(d *snapshot.Decoder) error {
-	if c.recorded != nil {
-		return errors.New("sim: cannot restore into a chip that is recording traces")
-	}
 	d.Tag(snapshot.TagChip)
 	nCores := d.Int()
 	nIslands := d.Int()
@@ -163,6 +134,9 @@ func (c *CMP) Restore(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	if c.interval < 0 {
+		return snapshot.ShapeErrorf("negative chip interval %d", c.interval)
+	}
 	if err := c.memsys.Restore(d); err != nil {
 		return err
 	}
@@ -184,52 +158,29 @@ func (c *CMP) Restore(d *snapshot.Decoder) error {
 	if err := c.varmap.Restore(d); err != nil {
 		return err
 	}
-	for i, st := range c.islands {
+	for _, st := range c.islands {
 		if err := st.isl.Restore(d); err != nil {
 			return err
 		}
-		hadShared := d.Bool()
-		if err := d.Err(); err != nil {
+		for _, core := range st.cores {
+			if err := core.Restore(d); err != nil {
+				return err
+			}
+		}
+	}
+	hadSampler := d.Bool()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if hadSampler != (c.sampler != nil) {
+		return snapshot.ShapeErrorf("snapshot sampler presence %v, target %v", hadSampler, c.sampler != nil)
+	}
+	if c.sampler != nil {
+		if err := c.sampler.Restore(d); err != nil {
 			return err
 		}
-		if hadShared != (st.sharedL2 != nil) {
-			return snapshot.ShapeErrorf("island %d shared-L2 presence %v, target %v", i, hadShared, st.sharedL2 != nil)
-		}
-		if st.sharedL2 != nil {
-			if err := st.sharedL2.Restore(d); err != nil {
-				return err
-			}
-		}
-		for j, cm := range st.cores {
-			kind := d.U8()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			switch core := cm.(type) {
-			case *uarch.Core:
-				if kind != coreKindLive {
-					return snapshot.ShapeErrorf("island %d core %d kind %d, target is a live core", i, j, kind)
-				}
-				if err := core.Restore(d, st.sharedL2 == nil); err != nil {
-					return err
-				}
-			case *uarch.ReplayCore:
-				if kind != coreKindReplay {
-					return snapshot.ShapeErrorf("island %d core %d kind %d, target is a replay core", i, j, kind)
-				}
-				if err := core.Restore(d); err != nil {
-					return err
-				}
-			case *uarch.ComputeCore:
-				if kind != coreKindCompute {
-					return snapshot.ShapeErrorf("island %d core %d kind %d, target is a compute core", i, j, kind)
-				}
-				if err := core.Restore(d); err != nil {
-					return err
-				}
-			default:
-				return errors.New("sim: unsnapshotable core model")
-			}
+		if cur := c.sampler.Cursor(); cur != c.interval {
+			return snapshot.ShapeErrorf("snapshot sampler cursor %d, chip at interval %d", cur, c.interval)
 		}
 	}
 	return d.Err()

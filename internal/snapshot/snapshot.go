@@ -44,7 +44,12 @@ const Magic uint32 = 0x534d5043
 // technology node/variant plus each island's core class and DVFS-table
 // shape — validated on restore, so a snapshot cannot silently restore
 // into a chip with different tables.
-const Version uint32 = 3
+// Version 4: every chip steps compute cores over a record source. The chip
+// section lost its per-core kind byte and per-island shared L2, and gained
+// a sampler presence flag (plus the sampler a New chip owns); sampling
+// cores no longer carry an instruction count, and the replay-core section
+// is gone.
+const Version uint32 = 4
 
 // Section tags. Every composite object's Snapshot opens with one, and the
 // matching Restore verifies it — a cheap structural checksum that turns
@@ -66,7 +71,6 @@ const (
 	TagIsland
 	TagVariation
 	TagCore
-	TagReplayCore
 	TagChip
 	TagGPM
 	TagPolicy

@@ -105,65 +105,3 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 }
-
-func TestTreeLineage(t *testing.T) {
-	tr := NewTree()
-	root, err := tr.Add(-1, "warm", 20, []byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := tr.Add(root, "cpm-0.8", 25, []byte{2})
-	b, _ := tr.Add(root, "cpm-0.6", 25, []byte{3})
-	a2, _ := tr.Add(a, "cpm-0.8", 30, []byte{4})
-	if got := tr.Roots(); len(got) != 1 || got[0] != root {
-		t.Errorf("roots = %v", got)
-	}
-	if got := tr.Children(root); len(got) != 2 || got[0] != a || got[1] != b {
-		t.Errorf("children(root) = %v", got)
-	}
-	if got := tr.Path(a2); len(got) != 3 || got[0] != root || got[1] != a || got[2] != a2 {
-		t.Errorf("path(a2) = %v", got)
-	}
-	if _, err := tr.Add(99, "x", 0, nil); err == nil {
-		t.Error("out-of-range parent accepted")
-	}
-	if tr.Len() != 4 {
-		t.Errorf("len = %d", tr.Len())
-	}
-}
-
-// TestCoordinatorTreeLineage: periodic checkpoints chain under the
-// configured base node, so a resilient run's tree reads as one branch per
-// point descending from its fork base.
-func TestCoordinatorTreeLineage(t *testing.T) {
-	tr := NewTree()
-	base, err := tr.Add(-1, "base", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, _ := testPoints(t, 2)
-	c, err := New(pts, Config{Workers: 1, CheckpointEvery: 20, Tree: tr, TreeBase: []int{base, base}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Tree() != tr {
-		t.Fatal("coordinator did not adopt the provided tree")
-	}
-	// base + 2 checkpoints per point.
-	if tr.Len() != 5 {
-		t.Fatalf("tree has %d nodes, want 5", tr.Len())
-	}
-	for pi, name := range []string{"pt-a", "pt-b"} {
-		tip := c.tip[pi]
-		path := tr.Path(tip)
-		if len(path) != 3 || path[0] != base {
-			t.Errorf("%s lineage = %v, want base plus two checkpoints", name, path)
-		}
-		if n := tr.Node(tip); n.Label != name || n.Interval != 40 {
-			t.Errorf("%s tip = %+v, want interval 40", name, n)
-		}
-	}
-}

@@ -29,14 +29,6 @@ type Config struct {
 	// Log receives one line per checkpoint, kill, and migration; nil
 	// discards.
 	Log io.Writer
-	// Tree records checkpoint lineage; nil builds a fresh tree. Pass a
-	// pre-seeded tree (e.g. holding a warm-start base snapshot) to chain
-	// run checkpoints under existing nodes.
-	Tree *Tree
-	// TreeBase maps each point to the tree node its checkpoints descend
-	// from (-1 = root). Nil means all points start at -1. Length must
-	// equal the point count when set.
-	TreeBase []int
 }
 
 // Stats summarizes the fault-tolerance activity of one Run.
@@ -84,20 +76,21 @@ func (p *killPlan) fire(point string, interval int) bool {
 
 // Coordinator drives a set of points to completion across a pool of worker
 // goroutines, checkpointing and migrating as configured. Use New, Run once,
-// then read Summaries/Stats/Tree.
+// then read Stats.
 type Coordinator struct {
 	points  []Point
 	cfg     Config
 	workers int
 	ckEvery int
 	kills   *killPlan
-	tree    *Tree
-	tip     []int // latest tree node per point
-	latest  [][]byte
-	sums    []engine.Summary
-	errs    []error
-	stats   Stats
-	ran     bool
+	// latest is each point's latest checkpoint, taken at interval
+	// latestAt.
+	latest   [][]byte
+	latestAt []int
+	sums     []engine.Summary
+	errs     []error
+	stats    Stats
+	ran      bool
 }
 
 // New validates the point set and returns a coordinator ready to Run.
@@ -132,36 +125,16 @@ func New(points []Point, cfg Config) (*Coordinator, error) {
 	if cfg.KillEvery < 0 {
 		return nil, fmt.Errorf("sweepd: KillEvery %d must be >= 0", cfg.KillEvery)
 	}
-	tree := cfg.Tree
-	if tree == nil {
-		tree = NewTree()
-	}
-	tip := make([]int, len(points))
-	for i := range tip {
-		tip[i] = -1
-	}
-	if cfg.TreeBase != nil {
-		if len(cfg.TreeBase) != len(points) {
-			return nil, fmt.Errorf("sweepd: TreeBase has %d entries for %d points", len(cfg.TreeBase), len(points))
-		}
-		for i, b := range cfg.TreeBase {
-			if b < -1 || b >= tree.Len() {
-				return nil, fmt.Errorf("sweepd: TreeBase[%d] = %d out of range [-1, %d)", i, b, tree.Len())
-			}
-			tip[i] = b
-		}
-	}
 	return &Coordinator{
-		points:  points,
-		cfg:     cfg,
-		workers: w,
-		ckEvery: ck,
-		kills:   &killPlan{every: cfg.KillEvery},
-		tree:    tree,
-		tip:     tip,
-		latest:  make([][]byte, len(points)),
-		sums:    make([]engine.Summary, len(points)),
-		errs:    make([]error, len(points)),
+		points:   points,
+		cfg:      cfg,
+		workers:  w,
+		ckEvery:  ck,
+		kills:    &killPlan{every: cfg.KillEvery},
+		latest:   make([][]byte, len(points)),
+		latestAt: make([]int, len(points)),
+		sums:     make([]engine.Summary, len(points)),
+		errs:     make([]error, len(points)),
 	}, nil
 }
 
@@ -234,10 +207,7 @@ func (c *Coordinator) Run() ([]engine.Summary, error) {
 		case ev := <-events:
 			switch ev.kind {
 			case evCheckpoint:
-				c.latest[ev.point] = ev.data
-				if id, err := c.tree.Add(c.tip[ev.point], c.points[ev.point].Name, ev.interval, ev.data); err == nil {
-					c.tip[ev.point] = id
-				}
+				c.latest[ev.point], c.latestAt[ev.point] = ev.data, ev.interval
 				c.stats.Checkpoints++
 				c.stats.CheckpointBytes += int64(len(ev.data))
 				if len(ev.data) > c.stats.MaxCheckpointBytes {
@@ -253,7 +223,7 @@ func (c *Coordinator) Run() ([]engine.Summary, error) {
 				from := "scratch"
 				if ck := c.latest[ev.point]; ck != nil {
 					c.stats.Restores++
-					from = fmt.Sprintf("checkpoint @%d", c.tree.Node(c.tip[ev.point]).Interval)
+					from = fmt.Sprintf("checkpoint @%d", c.latestAt[ev.point])
 				}
 				pending = append(pending, task{point: ev.point, ckpt: c.latest[ev.point]})
 				// The dead worker's goroutine returned; replace it to keep
@@ -279,15 +249,8 @@ func (c *Coordinator) Run() ([]engine.Summary, error) {
 	return c.sums, nil
 }
 
-// Summaries returns the per-point summaries gathered by Run, in point
-// order. Entries for failed points are zero.
-func (c *Coordinator) Summaries() []engine.Summary { return c.sums }
-
 // Stats returns the fault-tolerance counters gathered by Run.
 func (c *Coordinator) Stats() Stats { return c.stats }
-
-// Tree returns the checkpoint lineage recorded by Run.
-func (c *Coordinator) Tree() *Tree { return c.tree }
 
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Log == nil {

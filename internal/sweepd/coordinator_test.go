@@ -176,6 +176,10 @@ func TestCoordinatorKillEquivalence(t *testing.T) {
 		if !strings.Contains(log.String(), "migrating") {
 			t.Errorf("killEvery=%d: no migration logged:\n%s", killEvery, log.String())
 		}
+		// A kill at interval 7 resumes from the checkpoint taken at 5.
+		if killEvery == 7 && !strings.Contains(log.String(), "at interval 7; migrating (resume from checkpoint @5)") {
+			t.Errorf("migration log does not name the latest checkpoint:\n%s", log.String())
+		}
 		if v := c.cfg.Metrics.Migrations.Value(); int(v) != wantKills {
 			t.Errorf("killEvery=%d: cpmsweep_migrations_total = %v, want %d", killEvery, v, wantKills)
 		}
@@ -264,8 +268,6 @@ func TestCoordinatorValidation(t *testing.T) {
 		{"no build", []Point{{Name: "a"}}, Config{}, "no Build"},
 		{"duplicate names", []Point{pt, pt}, Config{}, "share name"},
 		{"negative kill", []Point{pt}, Config{KillEvery: -1}, "must be >= 0"},
-		{"treebase length", []Point{pt}, Config{TreeBase: []int{0, 1}}, "TreeBase"},
-		{"treebase range", []Point{pt}, Config{TreeBase: []int{5}}, "out of range"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

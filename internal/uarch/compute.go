@@ -7,18 +7,15 @@ import (
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-// ComputeCore is the frequency-dependent half of a core with the sampling
-// half factored out: it evaluates externally supplied TraceRecords at its
-// own operating point, against its own memory system and interconnect
-// state. It owns no phase machine, no address streams and no caches, so it
-// is a few hundred bytes instead of a few hundred kilobytes — the member
-// representation of a chip farm, where many chips sharing one workload
-// (same seed, mix and cache configuration) draw records from a single
-// shared sampler (see sim.Sampler / internal/farm).
-//
-// Because TraceRecords are frequency-independent, a ComputeCore fed the
-// records a live Core would have produced computes bit-identical
-// IntervalStats to that live core under any DVFS trajectory.
+// ComputeCore is the frequency-dependent half of a core: it evaluates
+// externally supplied TraceRecords at its own operating point, against its
+// own memory system and interconnect state. It owns no phase machine, no
+// address streams and no caches, so it is a few hundred bytes instead of a
+// few hundred kilobytes. Every chip steps its cores this way, with records
+// from the chip's own sampler, a sampler shared by a farm group (see
+// sim.Sampler / internal/farm), or a recorded trace. Because TraceRecords
+// are frequency-independent, all three compute bit-identical IntervalStats
+// from the same records under any DVFS trajectory.
 type ComputeCore struct {
 	id     int
 	cfg    Config
@@ -65,13 +62,17 @@ func (c *ComputeCore) Profile() workload.Profile { return c.prof }
 // TotalInstructions returns the cumulative instruction count.
 func (c *ComputeCore) TotalInstructions() float64 { return c.totalInstructions }
 
-// SetExtraMemLatency mirrors Core.SetExtraMemLatency.
+// SetExtraMemLatency installs a per-interval source of additional memory
+// latency in nanoseconds (the on-chip interconnect's round trip from this
+// core's tile to the nearest memory controller). It is evaluated once per
+// interval; the interconnect state is previous-interval, like the memory
+// system's.
 func (c *ComputeCore) SetExtraMemLatency(f func() float64) { c.extraMemNs = f }
 
 // FinishInterval evaluates the supplied record at the given operating
-// point, mirroring Core.FinishInterval operation for operation so the two
-// produce bit-identical IntervalStats from the same record and memory
-// state.
+// point: freqMHz for intervalSec, of which overheadFrac is lost to a DVFS
+// transition (0 when the operating point did not change). It accumulates
+// the instruction count.
 func (c *ComputeCore) FinishInterval(rec TraceRecord, freqMHz, intervalSec, overheadFrac float64) IntervalStats {
 	memNs := c.memsys.LatencyNs()
 	if c.extraMemNs != nil {
@@ -81,11 +82,4 @@ func (c *ComputeCore) FinishInterval(rec TraceRecord, freqMHz, intervalSec, over
 		freqMHz, intervalSec, overheadFrac)
 	c.totalInstructions += stats.Instructions
 	return stats
-}
-
-// RunInterval panics: a ComputeCore has no workload generator of its own
-// and must be driven through FinishInterval with an external record (the
-// engine does this whenever the chip was built with sim.NewWithRecords).
-func (c *ComputeCore) RunInterval(freqMHz, intervalSec, overheadFrac float64) IntervalStats {
-	panic("uarch: ComputeCore.RunInterval: compute-only cores need external records")
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 
 	"github.com/cpm-sim/cpm/internal/cache"
-	"github.com/cpm-sim/cpm/internal/mem"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -115,9 +114,12 @@ type IntervalStats struct {
 	Phase workload.Phase
 }
 
-// Core is one simulated core executing one application thread.
-// It is not safe for concurrent use; in the parallel simulator each core is
-// stepped only by its island's goroutine.
+// Core is the sampling half of one simulated core executing one
+// application thread: the phase machine, the address-stream generators and
+// the cache hierarchy they drive. SampleInterval turns one interval of that
+// workload into a frequency-independent TraceRecord; a ComputeCore
+// evaluates it at an operating point. It is not safe for concurrent use; a
+// parallel sampler steps each core only from its island's goroutine.
 type Core struct {
 	id      int
 	cfg     Config
@@ -125,33 +127,22 @@ type Core struct {
 	phases  *workload.PhaseGen
 	streams *workload.StreamGen
 	hier    *cache.Hierarchy
-	memsys  *mem.System
 
 	dataBuf  []uint64
 	fetchBuf []uint64
-
-	// extraMemNs, when non-nil, supplies additional nanoseconds added to
-	// every memory access — the NoC round trip from this core's tile to
-	// the nearest memory controller. Evaluated once per interval (the
-	// interconnect state is previous-interval, like the memory system's).
-	extraMemNs func() float64
-	// recorder, when non-nil, receives every interval's TraceRecord.
-	recorder func(TraceRecord)
-
-	totalInstructions float64
 }
 
-// NewCore builds a core. The hierarchy and memory system are owned by the
-// caller (the L2 may be shared between cores of an island).
-func NewCore(id int, seed uint64, cfg Config, prof workload.Profile, hier *cache.Hierarchy, memsys *mem.System) (*Core, error) {
+// NewCore builds a core. The hierarchy is owned by the caller (the L2 may
+// be shared between cores of an island).
+func NewCore(id int, seed uint64, cfg Config, prof workload.Profile, hier *cache.Hierarchy) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	if hier == nil || memsys == nil {
-		return nil, errors.New("uarch: core needs a cache hierarchy and memory system")
+	if hier == nil {
+		return nil, errors.New("uarch: core needs a cache hierarchy")
 	}
 	streams, err := workload.NewStreamGen(seed, id, prof)
 	if err != nil {
@@ -164,26 +155,14 @@ func NewCore(id int, seed uint64, cfg Config, prof workload.Profile, hier *cache
 		phases:  workload.NewPhaseGen(seed, prof),
 		streams: streams,
 		hier:    hier,
-		memsys:  memsys,
 	}, nil
 }
 
 // ID returns the core's identifier.
 func (c *Core) ID() int { return c.id }
 
-// SetExtraMemLatency installs a per-interval source of additional memory
-// latency in nanoseconds (e.g. the on-chip interconnect's round trip).
-func (c *Core) SetExtraMemLatency(f func() float64) { c.extraMemNs = f }
-
-// SetRecorder installs a sink receiving every interval's TraceRecord, for
-// trace capture; pass nil to stop recording.
-func (c *Core) SetRecorder(f func(TraceRecord)) { c.recorder = f }
-
 // Profile returns the application profile the core runs.
 func (c *Core) Profile() workload.Profile { return c.prof }
-
-// TotalInstructions returns the cumulative instruction count.
-func (c *Core) TotalInstructions() float64 { return c.totalInstructions }
 
 // CacheStats returns the cumulative access counters of the core's cache
 // hierarchy. For a shared L2 the third result is the shared cache's
@@ -194,11 +173,12 @@ func (c *Core) CacheStats() (l1i, l1d, l2 cache.Stats) {
 }
 
 // TraceRecord captures the frequency-independent workload state of one
-// core-interval: everything RunInterval derived from the phase machine and
-// the sampled cache simulation, but nothing that depends on the operating
-// point. A recorded trace can therefore be replayed under a *different*
-// DVFS trajectory — the same separation interval-trace simulators exploit —
-// skipping phase generation and cache simulation entirely.
+// core-interval: everything SampleInterval derives from the phase machine
+// and the sampled cache simulation, but nothing that depends on the
+// operating point. A recorded trace can therefore be replayed under a
+// *different* DVFS trajectory — the same separation interval-trace
+// simulators exploit — skipping phase generation and cache simulation
+// entirely.
 type TraceRecord struct {
 	// BaseCPI is the ILP-limited CPI after phase scaling and the
 	// issue-width floor.
@@ -216,43 +196,12 @@ type TraceRecord struct {
 	Phase workload.Phase
 }
 
-// RunInterval executes one control interval of length intervalSec at
-// frequency freqMHz. overheadFrac is the fraction of the interval lost to a
-// DVFS transition (0 when the operating point did not change).
-//
-// RunInterval is SampleInterval followed by FinishInterval; callers that
-// need the two halves separately (trace capture, or amortizing sampling
-// across chips sharing a workload — see internal/farm) call them directly.
-func (c *Core) RunInterval(freqMHz, intervalSec, overheadFrac float64) IntervalStats {
-	rec := c.SampleInterval()
-	if c.recorder != nil {
-		c.recorder(rec)
-	}
-	return c.FinishInterval(rec, freqMHz, intervalSec, overheadFrac)
-}
-
-// FinishInterval evaluates the frequency-dependent half of the interval
-// model: it turns a TraceRecord (from this core's SampleInterval, or an
-// equivalent core's — the record is frequency-independent) into
-// IntervalStats at the requested operating point, and accumulates the
-// instruction count.
-func (c *Core) FinishInterval(rec TraceRecord, freqMHz, intervalSec, overheadFrac float64) IntervalStats {
-	memNs := c.memsys.LatencyNs()
-	if c.extraMemNs != nil {
-		memNs += c.extraMemNs()
-	}
-	stats := computeInterval(rec, c.cfg, c.prof, float64(l2LatencyCycles(c.hier)), memNs,
-		freqMHz, intervalSec, overheadFrac)
-	c.totalInstructions += stats.Instructions
-	return stats
-}
-
 // SampleInterval advances the phase machine and pushes the sampled address
 // streams through the caches, yielding the interval's TraceRecord — the
 // frequency-independent half of the interval model. Every call advances
-// workload state; pair each call with exactly one FinishInterval (on this
-// core or on compute-only cores sharing the record) to keep instruction
-// accounting meaningful.
+// workload state; pair each record with exactly one
+// ComputeCore.FinishInterval per chip to keep instruction accounting
+// meaningful.
 func (c *Core) SampleInterval() TraceRecord {
 	ph := c.phases.Next()
 	c.dataBuf = c.streams.DataAddrs(c.cfg.DataSampleRefs, ph, c.dataBuf)
@@ -350,16 +299,6 @@ func computeInterval(rec TraceRecord, cfg Config, prof workload.Profile,
 		stats.MemBlocks = uint64(blocks)
 	}
 	return stats
-}
-
-func l2LatencyCycles(h *cache.Hierarchy) int {
-	// The hierarchy's L2 may be a single cache or a banked shared cache;
-	// both are built from the Table I per-core configuration.
-	type latency interface{ Config() cache.Config }
-	if c, ok := h.L2.(latency); ok {
-		return c.Config().LatencyCycles
-	}
-	return cache.TableIL2PerCore().LatencyCycles
 }
 
 func clamp01(v float64) float64 {

@@ -9,7 +9,28 @@ import (
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-func newCore(t *testing.T, id int, seed uint64, bench string) *Core {
+// testCore is one whole core: a sampling Core whose records a ComputeCore
+// evaluates against its own memory system.
+type testCore struct {
+	*Core
+	compute *ComputeCore
+}
+
+func newTestCore(t *testing.T, s *Core, m *mem.System) testCore {
+	t.Helper()
+	cc, err := NewComputeCore(s.ID(), s.cfg, s.Profile(), cache.TableIL2PerCore().LatencyCycles, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testCore{Core: s, compute: cc}
+}
+
+// RunInterval samples one interval and evaluates it at freqMHz.
+func (c testCore) RunInterval(freqMHz, intervalSec, overheadFrac float64) IntervalStats {
+	return c.compute.FinishInterval(c.SampleInterval(), freqMHz, intervalSec, overheadFrac)
+}
+
+func newCore(t *testing.T, id int, seed uint64, bench string) testCore {
 	t.Helper()
 	l1i, err := cache.New(cache.TableIL1())
 	if err != nil {
@@ -31,16 +52,16 @@ func newCore(t *testing.T, id int, seed uint64, bench string) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCore(id, seed, DefaultConfig(), workload.MustByName(bench), h, m)
+	c, err := NewCore(id, seed, DefaultConfig(), workload.MustByName(bench), h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return newTestCore(t, c, m)
 }
 
 // run executes n warm-up intervals then returns the mean stats of the next
 // n intervals.
-func run(c *Core, freqMHz float64, n int) IntervalStats {
+func run(c testCore, freqMHz float64, n int) IntervalStats {
 	const dt = 0.0025
 	for i := 0; i < n; i++ {
 		c.RunInterval(freqMHz, dt, 0)
@@ -91,7 +112,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestNewCoreValidation(t *testing.T) {
-	if _, err := NewCore(0, 1, DefaultConfig(), workload.MustByName("bschls"), nil, nil); err == nil {
+	if _, err := NewCore(0, 1, DefaultConfig(), workload.MustByName("bschls"), nil); err == nil {
 		t.Error("nil hierarchy should be rejected")
 	}
 	badProf := workload.MustByName("bschls")
@@ -100,8 +121,7 @@ func TestNewCoreValidation(t *testing.T) {
 	l1d, _ := cache.New(cache.TableIL1())
 	l2, _ := cache.New(cache.TableIL2PerCore())
 	h, _ := cache.NewHierarchy(l1i, l1d, l2)
-	m, _ := mem.New(mem.TableI())
-	if _, err := NewCore(0, 1, DefaultConfig(), badProf, h, m); err == nil {
+	if _, err := NewCore(0, 1, DefaultConfig(), badProf, h); err == nil {
 		t.Error("invalid profile should be rejected")
 	}
 }
@@ -186,7 +206,7 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 			t.Fatalf("interval %d diverged: %+v vs %+v", i, sa, sb)
 		}
 	}
-	if a.TotalInstructions() != b.TotalInstructions() {
+	if a.compute.TotalInstructions() != b.compute.TotalInstructions() {
 		t.Error("cumulative counts diverged")
 	}
 }
@@ -245,7 +265,7 @@ func TestMemoryBoundGeneratesTraffic(t *testing.T) {
 func TestSharedL2CouplesCores(t *testing.T) {
 	// Two memory-bound cores sharing one L2 slice evict each other's data;
 	// each should see more memory traffic than when running alone.
-	mkShared := func() (a, b *Core) {
+	mkShared := func() (a, b testCore) {
 		shared, err := cache.NewBanked(cache.TableIL2PerCore(), 2)
 		if err != nil {
 			t.Fatal(err)
@@ -255,14 +275,14 @@ func TestSharedL2CouplesCores(t *testing.T) {
 			l1i, _ := cache.New(cache.TableIL1())
 			l1d, _ := cache.New(cache.TableIL1())
 			h, _ := cache.NewHierarchy(l1i, l1d, shared)
-			c, err := NewCore(i, 55, DefaultConfig(), workload.MustByName("fsim"), h, msys)
+			c, err := NewCore(i, 55, DefaultConfig(), workload.MustByName("fsim"), h)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {
-				a = c
+				a = newTestCore(t, c, msys)
 			} else {
-				b = c
+				b = newTestCore(t, c, msys)
 			}
 		}
 		return a, b

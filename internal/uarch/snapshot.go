@@ -2,17 +2,16 @@ package uarch
 
 import "github.com/cpm-sim/cpm/internal/snapshot"
 
-// Snapshot appends the live core's dynamic state: phase and address
-// generator streams, cumulative instruction count, and the cache
-// hierarchy. includeL2 mirrors cache.Hierarchy.Snapshot — false when the
-// L2 is shared per island and captured once at the island level. The
+// Snapshot appends the sampling core's dynamic state: phase and address
+// generator streams and the cache hierarchy. includeL2 mirrors
+// cache.Hierarchy.Snapshot — false when the L2 is shared per island and
+// captured once at the island level. The
 // address scratch buffers are reused per interval and never read before
 // being overwritten, so they carry no state.
 func (c *Core) Snapshot(e *snapshot.Encoder, includeL2 bool) {
 	e.Tag(snapshot.TagCore)
 	c.phases.Snapshot(e)
 	c.streams.Snapshot(e)
-	e.F64(c.totalInstructions)
 	c.hier.Snapshot(e, includeL2)
 }
 
@@ -25,15 +24,11 @@ func (c *Core) Restore(d *snapshot.Decoder, includeL2 bool) error {
 	if err := c.streams.Restore(d); err != nil {
 		return err
 	}
-	c.totalInstructions = d.F64()
-	if err := d.Err(); err != nil {
-		return err
-	}
 	return c.hier.Restore(d, includeL2)
 }
 
 // Snapshot appends the compute core's dynamic state — only the cumulative
-// instruction count; the workload state lives in the shared sampler.
+// instruction count; the workload state lives in the chip's record source.
 func (c *ComputeCore) Snapshot(e *snapshot.Encoder) {
 	e.Tag(snapshot.TagComputeCore)
 	e.F64(c.totalInstructions)
@@ -44,29 +39,4 @@ func (c *ComputeCore) Restore(d *snapshot.Decoder) error {
 	d.Tag(snapshot.TagComputeCore)
 	c.totalInstructions = d.F64()
 	return d.Err()
-}
-
-// Snapshot appends the replay core's dynamic state: the trace cursor and
-// cumulative instruction count.
-func (c *ReplayCore) Snapshot(e *snapshot.Encoder) {
-	e.Tag(snapshot.TagReplayCore)
-	e.Int(c.pos)
-	e.F64(c.totalInstructions)
-}
-
-// Restore reads state written by Snapshot, validating the cursor against
-// the trace length.
-func (c *ReplayCore) Restore(d *snapshot.Decoder) error {
-	d.Tag(snapshot.TagReplayCore)
-	pos := d.Int()
-	total := d.F64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if pos < 0 || (len(c.trace) > 0 && pos >= len(c.trace)) {
-		return snapshot.ShapeErrorf("replay cursor %d outside trace of %d records", pos, len(c.trace))
-	}
-	c.pos = pos
-	c.totalInstructions = total
-	return nil
 }
