@@ -27,8 +27,8 @@ vet:
 bench:
 	$(GO) run ./cmd/benchreport -out $(BENCH_OUT) $(BENCH_FLAGS)
 
-# Serial-vs-pooled scalar sweep benchmark (EXPERIMENTS.md records the
-# measured speedup).
+# Serial-vs-pooled sweep benchmark, every point on its own sampler
+# (-farm-size 1); EXPERIMENTS.md records the measured speedup.
 bench-sweep:
 	$(GO) test ./cmd/cpmsweep/ -run '^$$' -bench BenchmarkPoolSweep -benchtime 3x
 

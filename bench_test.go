@@ -18,7 +18,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/control"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/experiments"
-	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/maxbips"
 	"github.com/cpm-sim/cpm/internal/noc"
@@ -368,45 +367,45 @@ func BenchmarkAblationReplayEngine(b *testing.B) {
 
 // --- fleet farm: batched shared-sampler stepping ---------------------------
 
-// benchFleetFarm measures one lockstep round of an n-chip farm sharing one
-// workload key: the sampler runs once per round and every chip pays only
-// its frequency-dependent compute half. Per-op cost therefore is one live
+// benchFleetFarm measures one lockstep round of n chips sharing one
+// workload — what a one-group farm runs per round on one pool worker: the
+// sampler runs once per round and every chip pays only its
+// frequency-dependent compute half. Per-op cost therefore is one live
 // sampling pass plus n thin-chip halves; the aggregate-scalar reference is
 // n independent live chips, i.e. n x BenchmarkSimStep8Sequential ns (steps
 // of independent sessions compose linearly). benchreport folds the two
 // into the fleet chips/sec and aggregate-speedup entries of BENCH_PR6.json.
 func benchFleetFarm(b *testing.B, nChips int) {
-	specs := make([]farm.ChipSpec, nChips)
-	for i := range specs {
-		cfg := sim.DefaultConfig(workload.Mix1())
-		cfg.Parallel = false
-		specs[i] = farm.ChipSpec{
-			Config: cfg,
-			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
-				// Effectively unbounded window: the benchmark only ever
-				// advances rounds, no session may finish mid-measurement.
-				return engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
-					MeasureEpochs: 1 << 20, Period: 20, Label: "fleet",
-				})
-			},
-		}
-	}
-	f, err := farm.New(specs, farm.Options{})
+	cfg := sim.DefaultConfig(workload.Mix1())
+	cfg.Parallel = false
+	sampler, err := sim.NewSampler(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if f.NumGroups() != 1 {
-		b.Fatalf("fleet bench expects one shared sampler group, got %d", f.NumGroups())
-	}
-	pool := engine.Pool{Workers: 1}
-	if err := f.RunRounds(pool, 2); err != nil { // enter steady state
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.RunRounds(pool, 1); err != nil {
+	sessions := make([]*engine.Session, nChips)
+	for i := range sessions {
+		cmp, err := sim.NewWithRecords(cfg, sampler)
+		if err != nil {
 			b.Fatal(err)
 		}
+		// Effectively unbounded window: the benchmark only ever advances
+		// rounds, no session may finish mid-measurement.
+		sessions[i], err = engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{
+			MeasureEpochs: 1 << 20, Period: 20, Label: "fleet",
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	fr, err := engine.NewFarmRunner(sessions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fr.StepRound() // enter steady state
+	fr.StepRound()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr.StepRound()
 	}
 	b.StopTimer()
 	perChip := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(nChips)

@@ -42,7 +42,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/diag"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/experiments"
-	"github.com/cpm-sim/cpm/internal/snapshot"
+	"github.com/cpm-sim/cpm/internal/sweepd"
 	"github.com/cpm-sim/cpm/internal/trace"
 )
 
@@ -241,13 +241,11 @@ func runScenarios(c cliConfig, out io.Writer) error {
 	return nil
 }
 
-// checkpointKind tags cpmsim session checkpoints; the fingerprint binds a
-// file to its (scenario, seed) so a resume into the wrong stack fails at
-// the header, before any state is decoded.
-const checkpointKind = "cpmsim-session"
-
-func checkpointFingerprint(name string, seed uint64) string {
-	return fmt.Sprintf("%s/seed=%d", name, seed)
+// checkpointPoint names a cpmsim session checkpoint: a sweepd point whose
+// name binds the file to its (scenario, seed), so a resume into the wrong
+// stack fails at the header, before any state is decoded.
+func checkpointPoint(name string, seed uint64) sweepd.Point {
+	return sweepd.Point{Name: fmt.Sprintf("%s/seed=%d", name, seed)}
 }
 
 // defaultCheckpointAt resolves the checkpoint boundary when -at is not
@@ -263,7 +261,8 @@ func defaultCheckpointAt(warmIntervals, totalIntervals int) int {
 
 // runCheckpoint builds a canonical scenario, advances it -at intervals
 // (defaulting to the end of warmup, or the midpoint of a zero-warmup run)
-// and writes the full-state snapshot.
+// and writes the full-state snapshot as a sweepd checkpoint, whose body
+// digest makes any changed byte a restore error.
 func runCheckpoint(c cliConfig, out io.Writer) error {
 	name := c.ids[0]
 	sc, err := scenarioByName(name)
@@ -286,41 +285,27 @@ func runCheckpoint(c cliConfig, out io.Writer) error {
 	if got := sess.RunIntervals(at); got != at {
 		return fmt.Errorf("cpmsim checkpoint: ran %d of %d intervals", got, at)
 	}
-	e := snapshot.NewEncoder()
-	e.Header(snapshot.Header{Kind: checkpointKind, Fingerprint: checkpointFingerprint(name, c.opts.Seed)})
-	if err := sess.Snapshot(e); err != nil {
+	b, err := sweepd.EncodeCheckpoint(checkpointPoint(name, c.opts.Seed), &sweepd.Instance{Session: sess})
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(c.ckptOut, e.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(c.ckptOut, b, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "checkpoint %s at interval %d/%d -> %s (%d bytes)\n", name, at, total, c.ckptOut, e.Len())
+	fmt.Fprintf(out, "checkpoint %s at interval %d/%d -> %s (%d bytes)\n", name, at, total, c.ckptOut, len(b))
 	return nil
 }
 
-// restoreSession loads a checkpoint file into a freshly built session,
-// validating the header against the scenario and seed being resumed.
+// restoreSession loads a checkpoint file into a freshly built session.
+// sweepd.RestoreCheckpoint validates it against the scenario and seed being
+// resumed and against its body digest.
 func restoreSession(sess *engine.Session, path, name string, seed uint64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	d := snapshot.NewDecoder(b)
-	h, err := d.Header()
-	if err != nil {
-		return fmt.Errorf("cpmsim: reading %s: %w", path, err)
-	}
-	if h.Kind != checkpointKind {
-		return fmt.Errorf("cpmsim: %s holds a %q snapshot, want %q", path, h.Kind, checkpointKind)
-	}
-	if want := checkpointFingerprint(name, seed); h.Fingerprint != want {
-		return fmt.Errorf("cpmsim: checkpoint %s was taken for %s, resuming %s", path, h.Fingerprint, want)
-	}
-	if err := sess.Restore(d); err != nil {
-		return fmt.Errorf("cpmsim: restoring %s: %w", path, err)
-	}
-	if rem := d.Remaining(); rem != 0 {
-		return fmt.Errorf("cpmsim: %d trailing bytes in %s", rem, path)
+	if _, err := sweepd.RestoreCheckpoint(checkpointPoint(name, seed), &sweepd.Instance{Session: sess}, b); err != nil {
+		return fmt.Errorf("cpmsim: resuming from %s: %w", path, err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -118,10 +119,6 @@ func TestParseCLIRejects(t *testing.T) {
 	}
 }
 
-// TestScenarioMetricsJSONRoundTrip is the CLI-level regression test for
-// non-finite telemetry: a scenario run plus a zero-access miss-rate gauge
-// (NaN, as sim.Stats.MissRate reports before any access) must still export
-// JSON that encoding/json accepts, with the NaN encoded as null.
 // TestDefaultCheckpointAt pins the -at default: the end of warmup when a
 // warm-up window exists, the run's midpoint when it does not. The zero-warmup
 // row is the regression case — the old default resolved to 0 and failed the
@@ -151,6 +148,10 @@ func TestDefaultCheckpointAt(t *testing.T) {
 	}
 }
 
+// TestScenarioMetricsJSONRoundTrip is the CLI-level regression test for
+// non-finite telemetry: a scenario run plus a zero-access miss-rate gauge
+// (NaN, as sim.Stats.MissRate reports before any access) must still export
+// JSON that encoding/json accepts, with the NaN encoded as null.
 func TestScenarioMetricsJSONRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden scenario replay in -short mode")
@@ -239,5 +240,70 @@ func TestScenarioTelemetryFamilies(t *testing.T) {
 	}
 	if count <= 0 {
 		t.Errorf("cpm_pic_tracking_error_frac_count{run=\"cpm-default\"} = %v, want > 0", count)
+	}
+}
+
+// TestCheckpointResume drives checkpoint → -resume end to end: a clean
+// resume prints the uninterrupted run's line plus " (resumed)", while a
+// checkpoint with one byte flipped mid-file, or resumed into another
+// scenario or seed, is an error rather than a divergent run.
+func TestCheckpointResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden scenario replay in -short mode")
+	}
+	run := func(argv ...string) (string, error) {
+		t.Helper()
+		c, err := parseCLI(argv, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if c.cmd == "checkpoint" {
+			err = runCheckpoint(c, &out)
+		} else {
+			err = runScenarios(c, &out)
+		}
+		return out.String(), err
+	}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "cpm-default.ckpt")
+	full, err := run("scenario", "cpm-default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run("-o", ckpt, "checkpoint", "cpm-default"); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := run("-resume", ckpt, "scenario", "cpm-default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSuffix(full, "\n") + " (resumed)\n"; resumed != want {
+		t.Errorf("resumed run printed %q, want %q", resumed, want)
+	}
+
+	clean, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejects := [][]string{
+		{"-resume", ckpt, "scenario", "budget-60"},
+		{"-seed", "2", "-resume", ckpt, "scenario", "cpm-default"},
+	}
+	// Offsets inside float payloads, where a flip still decodes to a
+	// structurally valid session.
+	for i, frac := range [][2]int{{1, 3}, {2, 5}, {3, 5}} {
+		b := append([]byte(nil), clean...)
+		b[len(b)*frac[0]/frac[1]] ^= 1 << 6
+		flipped := filepath.Join(dir, fmt.Sprintf("flipped%d.ckpt", i))
+		if err := os.WriteFile(flipped, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rejects = append(rejects, []string{"-resume", flipped, "scenario", "cpm-default"})
+	}
+	for _, argv := range rejects {
+		if out, err := run(argv...); err == nil {
+			t.Errorf("%v resumed without error: %s", argv, out)
+		}
 	}
 }

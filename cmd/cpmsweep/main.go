@@ -4,8 +4,9 @@
 // By default the sweep routes every point — the unmanaged baseline plus a
 // CPM and a MaxBIPS run per budget — through one internal/farm fleet: the
 // points share a workload identity, so they share one trace sampler and
-// each pays only its cheap frequency-dependent half. -scalar restores the
-// legacy independent-simulation path; both paths, any -workers and any
+// each pays only its cheap frequency-dependent half. -farm-size 1 gives
+// every point its own sampler instead, and -resilient routes the points
+// through the crash-safe sweepd coordinator; any -workers and any
 // -farm-size produce byte-identical CSV (results are emitted in budget
 // order), and so does -resilient. Every point is a check.Scenario built by
 // its one constructor; the routes differ only in how the built sessions
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"github.com/cpm-sim/cpm/internal/check"
+	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/diag"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/farm"
@@ -53,10 +55,9 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	seed := fs.Uint64("seed", 1, "simulation seed (non-zero)")
 	warm := fs.Int("warm", 6, "warm-up GPM epochs")
 	epochs := fs.Int("epochs", 16, "measured GPM epochs")
-	workers := fs.Int("workers", 0, "concurrent budget points (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent sampler groups (one per point with -farm-size 1), or concurrent points with -resilient (0 = GOMAXPROCS)")
 	checked := fs.Bool("check", false, "fail the sweep on any invariant violation (every run carries the invariant suite)")
 	warmstart := fs.Bool("warmstart", false, "warm the chip once unmanaged, snapshot it, and fork every budget point from the snapshot (skips per-point warm-up; trajectories differ slightly from the default per-point managed warm-up)")
-	scalar := fs.Bool("scalar", false, "run every point as an independent full simulation instead of a shared-sampler farm (slower; identical CSV)")
 	farmSize := fs.Int("farm-size", 0, "max chips per farm sampler group; 0 = unlimited (one shared group per workload)")
 	resilient := fs.Bool("resilient", false, "route points through the crash-safe sweepd coordinator: workers checkpoint at interval boundaries and killed or panicked workers migrate their point to a survivor (identical CSV)")
 	killEvery := fs.Int("kill-every", 0, "inject a deterministic worker kill each time a point first completes an interval divisible by N (requires -resilient; 0 = off)")
@@ -89,9 +90,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	if !*resilient && (*killEvery > 0 || *ckptEvery > 0) {
 		return sweepOptions{}, fmt.Errorf("cpmsweep: -kill-every and -ckpt-every require -resilient")
 	}
-	if *resilient && *scalar {
-		return sweepOptions{}, fmt.Errorf("cpmsweep: -resilient and -scalar are mutually exclusive (the resilient route already runs independent points)")
-	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
 		return sweepOptions{}, err
@@ -114,7 +112,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 		Workers:   *workers,
 		Check:     *checked,
 		WarmStart: *warmstart,
-		Scalar:    *scalar,
 		FarmSize:  *farmSize,
 		Resilient: *resilient,
 		KillEvery: *killEvery,
@@ -148,7 +145,8 @@ type sweepOptions struct {
 	Seed     uint64
 	Warm     int
 	Epochs   int
-	// Workers is the engine.Pool size (0 = GOMAXPROCS).
+	// Workers is the engine.Pool size (0 = GOMAXPROCS): concurrent sampler
+	// groups on the farm route, concurrent points on the resilient route.
 	Workers int
 	// Check fails the sweep on any invariant violation; every run carries
 	// the suite either way.
@@ -160,12 +158,9 @@ type sweepOptions struct {
 	// unmanaged, so the measured trajectories (and CSV) differ slightly
 	// from the default per-point managed warm-up.
 	WarmStart bool
-	// Scalar disables the farm route: every point simulates independently.
-	// The CSV is identical either way; the farm shares one trace sampler
-	// across all points of a sweep.
-	Scalar bool
-	// FarmSize caps the chips per farm sampler group (0 = unlimited).
-	// Grouping changes scheduling only, never the CSV.
+	// FarmSize caps the chips per farm sampler group (0 = unlimited; 1
+	// gives every point its own sampler). Grouping changes scheduling only,
+	// never the CSV.
 	FarmSize int
 	// Resilient routes every point through the sweepd coordinator:
 	// independent sessions checkpointed at interval boundaries, with dead
@@ -189,26 +184,53 @@ type sweepOptions struct {
 
 // sweep calibrates once, runs every point — the shared unmanaged baseline
 // plus a CPM and a MaxBIPS run per budget — through the farm route (or the
-// scalar or resilient route), and emits CSV in budget order.
+// resilient route), and emits CSV in budget order.
 func sweep(o sweepOptions, out, logw io.Writer) error {
-	policy, err := check.PolicyByName(o.Policy)
+	pts, err := sweepPoints(o)
 	if err != nil {
 		return err
 	}
-	base := check.Scenario{
-		Name: "unmanaged", Mix: func() workload.Mix { return o.Mix }, Unmanaged: true,
-		Policy: policy, Adaptive: o.Adaptive,
-		WarmEpochs: o.Warm, MeasureEpochs: o.Epochs, Metrics: o.Metrics,
-	}
-	cal, err := base.Calibration(o.Seed)
+	cal, err := pts[0].Calibration(o.Seed)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(logw, "calibrated %s: unmanaged %.1f W, plant gain %.3f\n",
 		o.Mix.Name, cal.UnmanagedPowerW, cal.PlantGain)
 
-	// Point layout: 0 is the unmanaged baseline, then (cpm, maxbips) per
-	// budget fraction.
+	var samplerState []byte
+	if o.WarmStart {
+		if samplerState, err = warmStart(pts, o.Seed, !o.Resilient); err != nil {
+			return err
+		}
+		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
+			o.Warm, len(o.Fracs))
+	}
+
+	var sums []engine.Summary
+	if o.Resilient {
+		sums, err = runResilient(pts, o, logw)
+	} else {
+		sums, err = runFarm(pts, o, samplerState, logw)
+	}
+	if err != nil {
+		return err
+	}
+	writeCSV(out, o.Fracs, cal, sums)
+	return nil
+}
+
+// sweepPoints lays out a sweep's points: 0 is the unmanaged baseline, then
+// (cpm, maxbips) per budget fraction.
+func sweepPoints(o sweepOptions) ([]check.Scenario, error) {
+	policy, err := check.PolicyByName(o.Policy)
+	if err != nil {
+		return nil, err
+	}
+	base := check.Scenario{
+		Name: "unmanaged", Mix: func() workload.Mix { return o.Mix }, Unmanaged: true,
+		Policy: policy, Adaptive: o.Adaptive,
+		WarmEpochs: o.Warm, MeasureEpochs: o.Epochs, Metrics: o.Metrics,
+	}
 	pts := []check.Scenario{base}
 	for _, frac := range o.Fracs {
 		ours := base
@@ -217,36 +239,19 @@ func sweep(o sweepOptions, out, logw io.Writer) error {
 		mb.Name, mb.MaxBIPS = fmt.Sprintf("maxbips-%.2f", frac), true
 		pts = append(pts, ours, mb)
 	}
-	var samplerState []byte
-	if o.WarmStart {
-		if samplerState, err = warmStart(pts, o.Seed, !o.Scalar && !o.Resilient); err != nil {
-			return err
-		}
-		fmt.Fprintf(logw, "warm-started: %d warm epochs simulated once, forked across %d budget points\n",
-			o.Warm, len(o.Fracs))
-	}
+	return pts, nil
+}
 
-	var sums []engine.Summary
-	switch {
-	case o.Resilient:
-		sums, err = runResilient(pts, o, logw)
-	case o.Scalar:
-		sums, err = runScalar(pts, o)
-	default:
-		sums, err = runFarm(pts, o, samplerState, logw)
-	}
-	if err != nil {
-		return err
-	}
-
+// writeCSV emits one row per budget fraction from the points' summaries,
+// given in sweepPoints order.
+func writeCSV(out io.Writer, fracs []float64, cal core.Calibration, sums []engine.Summary) {
 	fmt.Fprintln(out, "budget_frac,budget_w,ours_power_w,ours_degradation,maxbips_power_w,maxbips_degradation")
-	for i, frac := range o.Fracs {
+	for i, frac := range fracs {
 		ours, mb := sums[1+2*i], sums[2+2*i]
 		fmt.Fprintf(out, "%.2f,%.2f,%.2f,%.4f,%.2f,%.4f\n",
 			frac, cal.BudgetW(frac), ours.MeanPowerW, engine.Degradation(ours, sums[0]),
 			mb.MeanPowerW, engine.Degradation(mb, sums[0]))
 	}
-	return nil
 }
 
 // verdict fails a finished point on an invariant violation under -check.
@@ -260,25 +265,12 @@ func (o sweepOptions) verdict(sc check.Scenario, suite *check.Suite) error {
 	return nil
 }
 
-// runScalar runs every point as an independent full simulation (own
-// sampling), parallelized over the pool.
-func runScalar(pts []check.Scenario, o sweepOptions) ([]engine.Summary, error) {
-	return engine.Map(engine.Pool{Workers: o.Workers}, len(pts), func(i int) (engine.Summary, error) {
-		sess, suite, err := pts[i].Build(o.Seed)
-		if err != nil {
-			return engine.Summary{}, err
-		}
-		sum := sess.Run()
-		return sum, o.verdict(pts[i], suite)
-	})
-}
-
 // runFarm is the default route: every point becomes one chip of a farm.
 // All points share the sweep's workload identity (budget, controller and
 // initial DVFS level are compute-half state), so they collapse into one
 // sampler group and the sweep pays the sampling cost of a single run
-// instead of 1+2*len(budgets) runs. Chips are bit-identical to the scalar
-// route's, so the CSV is byte-identical at any -workers or -farm-size.
+// instead of 1+2*len(budgets) runs. Chips are bit-identical to sim.New
+// chips, so the CSV is byte-identical at any -workers or -farm-size.
 func runFarm(pts []check.Scenario, o sweepOptions, samplerState []byte, logw io.Writer) ([]engine.Summary, error) {
 	specs := make([]farm.ChipSpec, len(pts))
 	suites := make([]*check.Suite, len(pts))
@@ -313,8 +305,8 @@ func runFarm(pts []check.Scenario, o sweepOptions, samplerState []byte, logw io.
 // runResilient is the crash-safe route: every point becomes a sweepd point
 // driven by the coordinator. Workers checkpoint at interval boundaries; a
 // killed (or panicked) worker's point migrates to a survivor and resumes
-// from its latest checkpoint, and the CSV stays byte-identical to the
-// scalar and farm routes at any worker count and under any kill schedule.
+// from its latest checkpoint, and the CSV stays byte-identical to the farm
+// route at any worker count and under any kill schedule.
 func runResilient(pts []check.Scenario, o sweepOptions, logw io.Writer) ([]engine.Summary, error) {
 	points := make([]sweepd.Point, len(pts))
 	suites := make([]*check.Suite, len(pts)) // final incarnation per point
@@ -385,7 +377,9 @@ func progressPrinter(logw io.Writer) func(done, total int) {
 // point from its snapshot with no warm-up of its own. On the farm route
 // (shared) the two template chips step in lockstep over one record
 // sampler, whose snapshot is returned for the farm's samplers to resume
-// from, cursors aligned with the templates' interval counters.
+// from, cursors aligned with the templates' interval counters. Otherwise
+// (the resilient route) each template is a sim.New chip that owns its
+// sampler and carries it in its snapshot.
 func warmStart(pts []check.Scenario, seed uint64, shared bool) (samplerState []byte, err error) {
 	cfgs := [2]sim.Config{pts[1].BuildConfig(seed), pts[0].BuildConfig(seed)} // managed, unmanaged
 	var sampler *sim.Sampler

@@ -64,8 +64,8 @@ func TestResilientSweepMatchesDefault(t *testing.T) {
 
 // TestResilientWarmstartMatchesScalar pins the warm-start fork path:
 // warm-started resilient sweeps (budget points forked from warm chip
-// snapshots) must match the scalar warm-started CSV even while workers are
-// being killed.
+// snapshots) must match the scalar oracle's warm-started CSV even while
+// workers are being killed.
 func TestResilientWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-started resilient sweep in -short mode")
@@ -74,10 +74,7 @@ func TestResilientWarmstartMatchesScalar(t *testing.T) {
 	o.Fracs = []float64{0.7, 0.9}
 	o.WarmStart = true
 	o.Check = true
-
-	so := o
-	so.Scalar = true
-	want := runSweep(t, so)
+	want := scalarCSV(t, o)
 
 	ro := o
 	ro.Resilient = true
@@ -111,7 +108,6 @@ func TestParseSweepCLIResilient(t *testing.T) {
 		{"ckpt without resilient", []string{"-ckpt-every", "5"}, "require -resilient"},
 		{"negative kill", []string{"-resilient", "-kill-every", "-1"}, "-kill-every must be >= 0"},
 		{"negative ckpt", []string{"-resilient", "-ckpt-every", "-1"}, "-ckpt-every must be >= 0"},
-		{"resilient with scalar", []string{"-resilient", "-scalar"}, "mutually exclusive"},
 	}
 	for _, c := range rejects {
 		t.Run(c.name, func(t *testing.T) {

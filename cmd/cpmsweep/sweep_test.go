@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/check"
+	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
@@ -99,9 +100,9 @@ func TestParseSweepCLIValid(t *testing.T) {
 }
 
 // TestSweepAdaptiveAndPredictiveRoutes pins the new control configurations
-// through both sweep routes: for each of (-adaptive fixed-policy, -policy
-// mpc, -policy cache) the farm route must emit byte-identical CSV to the
-// scalar route, under the invariant suite.
+// through the farm route: for each of (-adaptive fixed-policy, -policy mpc,
+// -policy cache) it must emit byte-identical CSV to the scalar oracle,
+// under the invariant suite.
 func TestSweepAdaptiveAndPredictiveRoutes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive/predictive sweeps in -short mode")
@@ -118,28 +119,14 @@ func TestSweepAdaptiveAndPredictiveRoutes(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			opts := func(scalar bool) sweepOptions {
-				o := testOptions(2)
-				o.Fracs = []float64{0.8}
-				o.Policy = c.policy
-				o.Adaptive = c.adaptive
-				o.Check = true
-				o.Scalar = scalar
-				return o
-			}
-			var scalar, farmed bytes.Buffer
-			if err := sweep(opts(true), &scalar, io.Discard); err != nil {
-				t.Fatalf("scalar route: %v", err)
-			}
-			if err := sweep(opts(false), &farmed, io.Discard); err != nil {
-				t.Fatalf("farm route: %v", err)
-			}
-			if !bytes.Equal(scalar.Bytes(), farmed.Bytes()) {
-				t.Fatalf("farm route differs from scalar:\n--- scalar ---\n%s--- farm ---\n%s",
-					scalar.String(), farmed.String())
-			}
-			if scalar.Len() == 0 {
-				t.Fatal("empty sweep output")
+			o := testOptions(2)
+			o.Fracs = []float64{0.8}
+			o.Policy = c.policy
+			o.Adaptive = c.adaptive
+			o.Check = true
+			want := scalarCSV(t, o)
+			if got := runSweep(t, o); !bytes.Equal(got, want) {
+				t.Fatalf("farm route differs from scalar:\n--- scalar ---\n%s--- farm ---\n%s", want, got)
 			}
 		})
 	}
@@ -185,6 +172,7 @@ func TestParseSweepCLIRejects(t *testing.T) {
 		{"bad budget", []string{"-budgets", "1.5"}, "out of (0, 1]"},
 		{"NaN budget", []string{"-budgets", "0.8,NaN"}, "-budgets: budget NaN out of (0, 1]"},
 		{"empty budgets", []string{"-budgets", ""}, "bad budget"},
+		{"undefined scalar flag", []string{"-scalar"}, "not defined"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -235,14 +223,15 @@ func TestMakePolicyNames(t *testing.T) {
 	}
 }
 
-// BenchmarkPoolSweep compares a serial 8-point scalar sweep against the
-// pooled executor. Calibration is cached by the first iteration; the
-// benchmark isolates the fan-out of independent sessions.
+// BenchmarkPoolSweep compares a serial 8-point sweep against the pooled
+// executor, every point on its own sampler (-farm-size 1). Calibration is
+// cached by the first iteration; the benchmark isolates the fan-out of
+// independent sampler groups.
 func BenchmarkPoolSweep(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.Helper()
 		o := testOptions(workers)
-		o.Scalar = true
+		o.FarmSize = 1
 		for i := 0; i < b.N; i++ {
 			if err := sweep(o, io.Discard, io.Discard); err != nil {
 				b.Fatal(err)
@@ -266,10 +255,45 @@ func runSweep(t *testing.T, o sweepOptions) []byte {
 	return out.Bytes()
 }
 
+// scalarCSV is the sweep's test oracle: every point of o built by
+// Scenario.Build — a sim.New chip that samples for itself — and run to
+// completion as its own session, serially, with warm-started points forked
+// from sim.New templates.
+func scalarCSV(t *testing.T, o sweepOptions) []byte {
+	t.Helper()
+	pts, err := sweepPoints(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := pts[0].Calibration(o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.WarmStart {
+		if _, err := warmStart(pts, o.Seed, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sums := make([]engine.Summary, len(pts))
+	for i, sc := range pts {
+		sess, suite, err := sc.Build(o.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[i] = sess.Run()
+		if err := suite.Err(); o.Check && err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+	}
+	var out bytes.Buffer
+	writeCSV(&out, o.Fracs, cal, sums)
+	return out.Bytes()
+}
+
 // TestSweepFarmMatchesScalar is the sweep-level equivalence contract: the
-// farm route (one shared sampler across every point) must produce CSV
-// byte-identical to the legacy scalar route, at several farm sizes, with
-// the invariant suite attached to every point.
+// farm route must produce CSV byte-identical to the scalar oracle, whether
+// every point shares one sampler or each has its own, with the invariant
+// suite attached to every point.
 func TestSweepFarmMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm-vs-scalar sweep in -short mode")
@@ -279,17 +303,14 @@ func TestSweepFarmMatchesScalar(t *testing.T) {
 		o.Fracs = []float64{0.7, 0.8, 0.9}
 		o.Warm = warm
 		o.Check = true
-
-		so := o
-		so.Scalar = true
-		scalar := runSweep(t, so)
+		scalar := scalarCSV(t, o)
 
 		for _, size := range []int{0, 1, 3} {
 			fo := o
 			fo.FarmSize = size
 			fo.Workers = 2
 			if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-				t.Errorf("warm=%d farm-size=%d CSV differs from scalar route:\n--- scalar ---\n%s--- farm ---\n%s",
+				t.Errorf("warm=%d farm-size=%d CSV differs from scalar oracle:\n--- scalar ---\n%s--- farm ---\n%s",
 					warm, size, scalar, got)
 			}
 		}
@@ -298,7 +319,7 @@ func TestSweepFarmMatchesScalar(t *testing.T) {
 
 // TestSweepFarmWarmstartMatchesScalar pins the warm-started farm route:
 // thin warm templates over a shared sampler must fork into the same
-// trajectories as the scalar route's live warm chips.
+// trajectories as the oracle's sim.New warm templates.
 func TestSweepFarmWarmstartMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-started farm sweep in -short mode")
@@ -307,15 +328,15 @@ func TestSweepFarmWarmstartMatchesScalar(t *testing.T) {
 	o.Fracs = []float64{0.7, 0.9}
 	o.WarmStart = true
 	o.Check = true
+	scalar := scalarCSV(t, o)
 
-	so := o
-	so.Scalar = true
-	scalar := runSweep(t, so)
-
-	fo := o
-	fo.Workers = 4
-	if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-		t.Errorf("warm-started farm CSV differs from scalar route:\n--- scalar ---\n%s--- farm ---\n%s",
-			scalar, got)
+	for _, size := range []int{0, 1} {
+		fo := o
+		fo.FarmSize = size
+		fo.Workers = 4
+		if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
+			t.Errorf("warm-started farm-size=%d CSV differs from scalar oracle:\n--- scalar ---\n%s--- farm ---\n%s",
+				size, scalar, got)
+		}
 	}
 }

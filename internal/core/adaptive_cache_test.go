@@ -21,7 +21,6 @@ func TestCacheSignalsReachPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var epochs [][]gpm.IslandObs
 	c, err := New(cmp, Config{
 		BudgetW:     cal.BudgetW(0.7),
 		Transducers: cal.Transducers,
@@ -30,12 +29,12 @@ func TestCacheSignalsReachPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Manager().AddProvisionHook(func(_ float64, obs []gpm.IslandObs, _ []float64) {
-		cp := make([]gpm.IslandObs, len(obs))
-		copy(cp, obs)
-		epochs = append(epochs, cp)
-	})
-	c.Run(90) // 4 GPM invocations (first boundary skipped: no measurements)
+	var epochs [][]gpm.IslandObs
+	for _, r := range c.Run(90) { // 4 GPM invocations (first boundary skipped: no measurements)
+		if r.GPMInvoked {
+			epochs = append(epochs, r.GPMObs)
+		}
+	}
 	if len(epochs) < 3 {
 		t.Fatalf("expected ≥ 3 GPM epochs, saw %d", len(epochs))
 	}
@@ -66,17 +65,19 @@ func TestCacheSignalsReachPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := false
-	c2.Manager().AddProvisionHook(func(_ float64, obs []gpm.IslandObs, _ []float64) {
+	for _, r := range c2.Run(45) {
+		if !r.GPMInvoked {
+			continue
+		}
 		seen = true
-		for _, o := range obs {
+		for _, o := range r.GPMObs {
 			if o.L2Accesses != 0 || o.L1DAccesses != 0 {
 				t.Fatalf("performance-aware CPM observed cache deltas: %+v", o)
 			}
 		}
-	})
-	c2.Run(45)
+	}
 	if !seen {
-		t.Fatal("provision hook never fired")
+		t.Fatal("no GPM epoch in 45 intervals")
 	}
 }
 

@@ -65,6 +65,9 @@ type StepResult struct {
 	AllocW []float64
 	// GPMInvoked reports whether this interval began a new GPM epoch.
 	GPMInvoked bool
+	// GPMObs holds the island observations the GPM provisioned from on a
+	// GPMInvoked interval (nil otherwise), as the policy left them.
+	GPMObs []gpm.IslandObs
 }
 
 // Clone returns a deep copy independent of the controller's and chip's
@@ -72,6 +75,7 @@ type StepResult struct {
 func (r StepResult) Clone() StepResult {
 	r.Sim = r.Sim.Clone()
 	r.AllocW = append([]float64(nil), r.AllocW...)
+	r.GPMObs = append([]gpm.IslandObs(nil), r.GPMObs...)
 	return r
 }
 
@@ -230,6 +234,7 @@ func (c *CPM) Step() StepResult {
 		}
 		c.accN = 0
 		res.GPMInvoked = true
+		res.GPMObs = obs
 		res.AllocW = append(res.AllocW[:0], c.alloc...)
 	}
 

@@ -36,13 +36,8 @@ func NewFarmRunner(sessions []*Session) (*FarmRunner, error) {
 	}, nil
 }
 
-// Active returns the number of sessions that still have intervals to run.
-func (f *FarmRunner) Active() int { return f.active }
-
 // StepRound advances every unfinished session one interval and returns the
-// number still unfinished. Interleave with snapshotting to checkpoint a
-// fleet between rounds — the only point where sharing chips and their
-// sampler are mutually consistent.
+// number still unfinished.
 func (f *FarmRunner) StepRound() int {
 	for i, s := range f.sessions {
 		if f.done[i] {

@@ -20,8 +20,8 @@ type Step struct {
 	// GPMInvoked reports whether this interval began a new GPM epoch.
 	GPMInvoked bool
 	// GPMObs carries the island observations the GPM provisioned from when
-	// GPMInvoked is set on a managed run — the gpm-layer view, surfaced
-	// through the manager's provision hook.
+	// GPMInvoked is set on a managed run — the gpm-layer view, copied from
+	// core.StepResult.GPMObs.
 	GPMObs []gpm.IslandObs
 }
 

@@ -19,23 +19,15 @@ type Runner interface {
 	Chip() *sim.CMP
 }
 
-// CPMRunner drives a CPM-managed chip. It registers a provision hook on the
-// controller's GPM so observers see the gpm-layer island observations at
-// every epoch boundary, not just the resulting allocations.
+// CPMRunner drives a CPM-managed chip. Its steps carry the gpm-layer island
+// observations at every epoch boundary, not just the resulting allocations.
 type CPMRunner struct {
 	ctl *core.CPM
 	k   int
-	obs []gpm.IslandObs
 }
 
 // NewCPMRunner wraps a two-tier controller.
-func NewCPMRunner(ctl *core.CPM) *CPMRunner {
-	r := &CPMRunner{ctl: ctl}
-	ctl.Manager().AddProvisionHook(func(_ float64, obs []gpm.IslandObs, _ []float64) {
-		r.obs = append(r.obs[:0], obs...)
-	})
-	return r
-}
+func NewCPMRunner(ctl *core.CPM) *CPMRunner { return &CPMRunner{ctl: ctl} }
 
 // Chip implements Runner.
 func (r *CPMRunner) Chip() *sim.CMP { return r.ctl.Chip() }
@@ -45,11 +37,12 @@ func (r *CPMRunner) Controller() *core.CPM { return r.ctl }
 
 // Step implements Runner.
 func (r *CPMRunner) Step() Step {
-	r.obs = r.obs[:0]
 	sr := r.ctl.Step()
 	st := Step{Index: r.k, Sim: sr.Sim, AllocW: sr.AllocW, GPMInvoked: sr.GPMInvoked}
-	if sr.GPMInvoked && len(r.obs) > 0 {
-		st.GPMObs = append([]gpm.IslandObs(nil), r.obs...)
+	if sr.GPMInvoked && len(sr.GPMObs) > 0 {
+		// A copy, so an observer writing into it cannot reach the policy's
+		// view of the epoch.
+		st.GPMObs = append([]gpm.IslandObs(nil), sr.GPMObs...)
 	}
 	r.k++
 	return st

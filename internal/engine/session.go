@@ -117,13 +117,6 @@ func (s *Session) Info() RunInfo {
 	}
 }
 
-// Started reports whether the session has begun stepping (or was restored
-// from a snapshot).
-func (s *Session) Started() bool { return s.prog != nil }
-
-// Finished reports whether the session has produced its summary.
-func (s *Session) Finished() bool { return s.prog != nil && s.prog.finished }
-
 // Completed returns the number of intervals stepped so far (warmup and
 // measurement combined; 0 before the session starts).
 func (s *Session) Completed() int {

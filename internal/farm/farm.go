@@ -1,7 +1,7 @@
 // Package farm batches many chip simulations into shared-workload groups
-// stepped in lockstep — the fleet-scale execution layer between the
-// single-chip kernel (internal/sim) and batch drivers (cpmsweep, the
-// fleet benchmarks).
+// stepped in lockstep — the one in-memory executor for batches of runs,
+// between the single-chip kernel (internal/sim) and the batch drivers
+// (cpmsweep, cpmserve, perfbench's fleet).
 //
 // The enabling property is that uarch.TraceRecords are frequency-
 // independent: the expensive half of a chip interval (phase generation,
@@ -79,25 +79,12 @@ type Options struct {
 	SamplerState []byte
 }
 
-// member is one chip's session, remembering its spec index so results come
-// back in spec order.
-type member struct {
-	spec int
-	sess *engine.Session
-}
-
-// group is the unit of sharing and of pool parallelism: one sampler plus
-// the member chips drawing records from it.
+// group is the unit of sharing and of pool parallelism: one sampler's
+// member chips, stepped in lockstep by one FarmRunner. specs[j] is the spec
+// index of the runner's j-th session, so results come back in spec order.
 type group struct {
-	key     WorkloadKey
-	sampler *sim.Sampler
-	members []member
-	fr      *engine.FarmRunner
-	// baseCursor is the sampler cursor at construction time (non-zero only
-	// for warm-started farms). Between lockstep rounds the cursor equals
-	// baseCursor plus the round count, which is what Snapshot's torn-state
-	// guard checks.
-	baseCursor int
+	specs []int
+	fr    *engine.FarmRunner
 }
 
 // Farm is a constructed fleet: grouped chips and sessions, ready to run.
@@ -163,8 +150,8 @@ func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []by
 			return nil, fmt.Errorf("farm: restoring sampler for %s: %w", key, err)
 		}
 	}
-	g := &group{key: key, sampler: sampler, baseCursor: sampler.Cursor()}
-	for _, i := range idxs {
+	sessions := make([]*engine.Session, len(idxs))
+	for j, i := range idxs {
 		spec := specs[i]
 		cmp, err := sim.NewWithRecords(spec.Config, sampler)
 		if err != nil {
@@ -179,17 +166,13 @@ func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []by
 		if sess == nil {
 			return nil, fmt.Errorf("farm: chip %d session factory returned nil", i)
 		}
-		g.members = append(g.members, member{spec: i, sess: sess})
+		sessions[j] = sess
 	}
-	sessions := make([]*engine.Session, len(g.members))
-	for j, m := range g.members {
-		sessions[j] = m.sess
-	}
-	g.fr, err = engine.NewFarmRunner(sessions)
+	fr, err := engine.NewFarmRunner(sessions)
 	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	return &group{specs: idxs, fr: fr}, nil
 }
 
 // NumChips returns the fleet size.
@@ -227,8 +210,8 @@ func (f *Farm) Run(pool engine.Pool, onProgress func(completed, total int)) ([]e
 			f.progress(done - prev)
 			prev = done
 		})
-		for j, m := range g.members {
-			out[m.spec] = sums[j]
+		for j, i := range g.specs {
+			out[i] = sums[j]
 		}
 		return nil
 	})
@@ -236,18 +219,4 @@ func (f *Farm) Run(pool engine.Pool, onProgress func(completed, total int)) ([]e
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunRounds advances every group by up to n lockstep rounds without
-// finishing any session — the checkpointing hook: between rounds every
-// chip and its sampler are mutually consistent, so Snapshot captures a
-// resumable fleet.
-func (f *Farm) RunRounds(pool engine.Pool, n int) error {
-	return pool.Run(len(f.groups), func(gi int) error {
-		g := f.groups[gi]
-		for i := 0; i < n && g.fr.Active() > 0; i++ {
-			g.fr.StepRound()
-		}
-		return nil
-	})
 }

@@ -113,21 +113,6 @@ func (EqualShare) Provision(budgetW float64, obs []IslandObs) []float64 {
 type Manager struct {
 	policy  Policy
 	budgetW float64
-
-	provisionHooks []func(budgetW float64, obs []IslandObs, alloc []float64)
-}
-
-// AddProvisionHook subscribes a callback invoked after every Provision with
-// the budget, the island observations the policy saw, and the clipped
-// allocations it produced — the gpm-layer attachment point for observers.
-// Hooks accumulate, so independent observers (the engine runner,
-// telemetry) can subscribe to the same manager. The slices are live;
-// callers must copy what they keep. A nil hook is ignored. Not safe to call
-// concurrently with Provision.
-func (m *Manager) AddProvisionHook(fn func(budgetW float64, obs []IslandObs, alloc []float64)) {
-	if fn != nil {
-		m.provisionHooks = append(m.provisionHooks, fn)
-	}
 }
 
 // NewManager builds a GPM with the given policy and chip budget in watts.
@@ -188,9 +173,6 @@ func (m *Manager) Provision(obs []IslandObs) []float64 {
 		for i := range alloc {
 			alloc[i] *= scale
 		}
-	}
-	for _, h := range m.provisionHooks {
-		h(m.budgetW, obs, alloc)
 	}
 	return alloc
 }

@@ -35,21 +35,13 @@ func finalize(j *job, sum engine.Summary, suite *check.Suite, obs runObservers) 
 	return buildResult(j.req, sum, obs.rec, obs.golden.Trace())
 }
 
-// executeScalar runs one job as a plain single-chip session.
-func (s *Server) executeScalar(j *job) (*result, error) {
-	obs := observersFor(j.req)
-	sess, suite, err := j.sc.Build(j.req.Seed, obs.all...)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building %s seed %d: %w", j.req.Scenario, j.req.Seed, err)
-	}
-	return finalize(j, sess.Run(), suite, obs)
-}
-
-// executeFarm runs a batch of workload-compatible jobs as one farm group:
-// one shared trace sampler, member chips stepped in lockstep. The farm path
-// is golden-equivalent to the scalar path (proven in internal/check), so
-// which path a job happens to ride never changes its response bytes.
-func (s *Server) executeFarm(batch []*job) {
+// execute runs one worker pick as one farm group — one shared trace sampler,
+// member chips stepped in lockstep — and completes every job in it. A
+// member chip is bit-identical to a sim.New chip (proven against the goldens
+// in internal/check), so the size of the pick a job rides in never changes
+// its response bytes. A build error fails only this pick's jobs; a one-job
+// pick's error names its scenario and seed.
+func (s *Server) execute(batch []*job) {
 	obs := make([]runObservers, len(batch))
 	suites := make([]*check.Suite, len(batch))
 	specs := make([]farm.ChipSpec, len(batch))
@@ -68,22 +60,25 @@ func (s *Server) executeFarm(batch []*job) {
 			},
 		}
 	}
+	what := "farm batch"
+	if len(batch) == 1 {
+		what = fmt.Sprintf("%s seed %d", batch[0].req.Scenario, batch[0].req.Seed)
+	}
 	f, err := farm.New(specs, farm.Options{})
 	if err != nil {
-		// Group construction failed as a whole; fail every member.
-		for _, j := range batch {
-			s.m.runsFarm.Inc()
-			s.finish(j, nil, fmt.Errorf("serve: building farm batch: %w", err))
-		}
-		return
+		err = fmt.Errorf("serve: building %s: %w", what, err)
 	}
-	// One group, one sampler: the inner lockstep rounds are the
-	// parallelism-free unit, so a single pool worker is exact and cheap.
-	sums, err := f.Run(engine.Pool{Workers: 1}, nil)
+	var sums []engine.Summary
+	if err == nil {
+		// One group, one sampler: the inner lockstep rounds are the
+		// parallelism-free unit, so a single pool worker is exact and cheap.
+		if sums, err = f.Run(engine.Pool{Workers: 1}, nil); err != nil {
+			err = fmt.Errorf("serve: running %s: %w", what, err)
+		}
+	}
 	for i, j := range batch {
-		s.m.runsFarm.Inc()
 		if err != nil {
-			s.finish(j, nil, fmt.Errorf("serve: running farm batch: %w", err))
+			s.finish(j, nil, err)
 			continue
 		}
 		res, ferr := finalize(j, sums[i], suites[i], obs[i])

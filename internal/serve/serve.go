@@ -16,7 +16,7 @@
 //  3. Batch admission: distinct queued requests that share a farm workload
 //     key (same sampling half: seed, mix, core/cache geometry) are run as
 //     one internal/farm group over a single shared trace sampler instead of
-//     N scalar sessions.
+//     N groups of one.
 //
 // Admission is a bounded queue over a fixed worker pool: when the number of
 // outstanding runs reaches Workers+QueueDepth the server answers 429 with
@@ -38,7 +38,8 @@ import (
 // Options shapes a Server.
 type Options struct {
 	// Workers is the number of concurrent simulation workers; <= 0 selects
-	// 4. Each worker runs one scalar session or one farm batch at a time.
+	// 4. Each worker runs one pick — one job or a batch — as one farm group
+	// at a time.
 	Workers int
 	// QueueDepth bounds the backlog beyond the running jobs: a submission
 	// arriving with Workers+QueueDepth jobs outstanding is rejected with
@@ -95,8 +96,8 @@ type Stats struct {
 	// RejectedQueueFull and RejectedDraining count 429 and 503 refusals.
 	RejectedQueueFull, RejectedDraining uint64
 	// Runs counts simulation runs executed (each batched job counts one);
-	// FarmBatches counts farm-group executions; BatchedJobs counts jobs that
-	// rode in them.
+	// FarmBatches counts worker picks of more than one job; BatchedJobs
+	// counts jobs that rode in them.
 	Runs, FarmBatches, BatchedJobs uint64
 	// CacheEntries and QueueDepth are current occupancy; Draining reports
 	// drain mode.
@@ -148,7 +149,7 @@ type serverInstruments struct {
 	requests                    *metrics.CounterVec // label: code
 	hits, misses, coalesced     *metrics.Counter
 	rejectedFull, rejectedDrain *metrics.Counter
-	runsScalar, runsFarm        *metrics.Counter
+	runsSingle, runsBatched     *metrics.Counter
 	batchSize                   *metrics.Histogram
 	runSeconds                  *metrics.Histogram
 	queueDepth, inflight        *metrics.Gauge
@@ -182,15 +183,15 @@ func NewServer(opts Options) *Server {
 			"Run requests refused by admission control.", "reason").With("queue-full"),
 		rejectedDrain: r.CounterVec("cpmserve_rejected_total",
 			"Run requests refused by admission control.", "reason").With("draining"),
-		runsScalar: r.CounterVec("cpmserve_runs_total",
-			"Simulation runs executed, by execution mode.", "mode").With("scalar"),
-		runsFarm: r.CounterVec("cpmserve_runs_total",
-			"Simulation runs executed, by execution mode.", "mode").With("farm"),
+		runsSingle: r.CounterVec("cpmserve_runs_total",
+			"Simulation runs executed, by pick: scalar = alone, farm = batched with others.", "mode").With("scalar"),
+		runsBatched: r.CounterVec("cpmserve_runs_total",
+			"Simulation runs executed, by pick: scalar = alone, farm = batched with others.", "mode").With("farm"),
 		batchSize: r.HistogramVec("cpmserve_batch_size",
-			"Jobs admitted per worker pick (1 = scalar).",
+			"Jobs admitted per worker pick.",
 			metrics.LinearBuckets(1, 1, 16)).With(),
 		runSeconds: r.HistogramVec("cpmserve_run_seconds",
-			"Wall-clock seconds per worker execution (scalar run or farm batch).",
+			"Wall-clock seconds per worker pick (one farm group).",
 			metrics.ExponentialBuckets(0.001, 2, 14)).With(),
 		queueDepth: r.GaugeVec("cpmserve_queue_depth",
 			"Jobs accepted and waiting for a worker.").With(),
@@ -346,8 +347,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runBatch executes one worker pick — a scalar session for a single job, a
-// farm group for several — and completes every job in it.
+// runBatch executes one worker pick — one job or several — as one farm
+// group and completes every job in it.
 func (s *Server) runBatch(batch []*job) {
 	if hook := s.opts.RunHook; hook != nil {
 		for _, j := range batch {
@@ -358,20 +359,16 @@ func (s *Server) runBatch(batch []*job) {
 	// response must find its run in Stats.
 	s.mu.Lock()
 	s.stats.Runs += uint64(len(batch))
+	runs := s.m.runsSingle
 	if len(batch) > 1 {
 		s.stats.FarmBatches++
 		s.stats.BatchedJobs += uint64(len(batch))
+		runs = s.m.runsBatched
 	}
 	s.mu.Unlock()
+	runs.Add(float64(len(batch)))
 	start := time.Now()
-	if len(batch) == 1 {
-		j := batch[0]
-		res, err := s.executeScalar(j)
-		s.m.runsScalar.Inc()
-		s.finish(j, res, err)
-	} else {
-		s.executeFarm(batch)
-	}
+	s.execute(batch)
 	s.m.runSeconds.Observe(time.Since(start).Seconds())
 	s.m.batchSize.Observe(float64(len(batch)))
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/power"
@@ -66,14 +65,10 @@ func TestHeterogeneousChip(t *testing.T) {
 	if r.ChipPowerW <= 0 || r.TotalBIPS <= 0 {
 		t.Fatalf("hetero chip step produced power %.3f W, BIPS %.3f", r.ChipPowerW, r.TotalBIPS)
 	}
-	if !strings.Contains(c.Fingerprint(), "/classes=ooo,little") {
-		t.Errorf("fingerprint %q lacks class identity", c.Fingerprint())
-	}
 }
 
 // TestTechScaledChip pins the homogeneous tech path: a 16 nm ITRS chip is
-// still chip-global (Table() works) but runs the scaled 7-level table, and
-// its fingerprint names the node.
+// still chip-global (Table() works) but runs the scaled 7-level table.
 func TestTechScaledChip(t *testing.T) {
 	cfg := DefaultConfig(tinyMix())
 	cfg.Tech = power.TechConfig{Node: power.Node16, Variant: power.ITRS}
@@ -90,15 +85,9 @@ func TestTechScaledChip(t *testing.T) {
 	if c.Table() != c.IslandTable(0) || c.Table() != c.IslandTable(1) {
 		t.Fatal("islands do not alias the chip-global scaled table")
 	}
-	if !strings.Contains(c.Fingerprint(), "/tech=16nm-itrs") {
-		t.Errorf("fingerprint %q lacks tech identity", c.Fingerprint())
-	}
 	base, err := New(DefaultConfig(tinyMix()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if strings.Contains(base.Fingerprint(), "tech=") || strings.Contains(base.Fingerprint(), "classes=") {
-		t.Errorf("legacy fingerprint %q grew tech/class fields", base.Fingerprint())
 	}
 	if c.MaxChipPowerW() >= base.MaxChipPowerW() {
 		t.Errorf("16nm chip max %.2f W not below 45nm-class %.2f W", c.MaxChipPowerW(), base.MaxChipPowerW())

@@ -1,35 +1,9 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/snapshot"
 )
-
-// Fingerprint summarizes the chip's structural identity — the part of the
-// configuration a snapshot must match to be restorable. It is embedded in
-// snapshot file headers by the CLIs.
-func (c *CMP) Fingerprint() string {
-	fp := fmt.Sprintf("mix=%s/seed=%d/cores=%d/islands=%d/sharedl2=%v/pref=%d/noc=%v",
-		c.cfg.Mix.Name, c.cfg.Seed, c.nCores, len(c.islands),
-		c.cfg.SharedL2, c.cfg.L2PrefetchDegree, c.mesh != nil)
-	// The tech/heterogeneity axis joins the fingerprint only when in use,
-	// so every pre-existing fingerprint (serve cache keys, sweep warmstart
-	// headers) is preserved byte for byte.
-	if c.cfg.Tech.Enabled() {
-		fp += "/tech=" + c.cfg.Tech.String()
-	}
-	if c.Heterogeneous() {
-		classes := make([]string, len(c.islands))
-		for i, st := range c.islands {
-			classes[i] = st.class.String()
-		}
-		fp += "/classes=" + strings.Join(classes, ",")
-	}
-	return fp
-}
 
 // Snapshot appends the chip's complete dynamic state: interval counter,
 // cumulative instructions, memory and NoC congestion, thermal node

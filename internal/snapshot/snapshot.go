@@ -82,7 +82,6 @@ const (
 	TagGolden
 	TagComputeCore
 	TagSampler
-	TagFarm
 )
 
 // Header identifies what a snapshot captured, so a restore can refuse a

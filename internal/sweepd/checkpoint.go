@@ -19,8 +19,7 @@
 // "sweepd-point", fingerprint = the point name) whose body is covered by an
 // FNV-1a integrity digest, so truncation, bit flips, or a checkpoint from
 // the wrong point always fail restore with an error — never a divergent
-// resume. The lineage of checkpoints, including what-if forks of mid-run
-// state into parameter variants, is recorded in a Tree.
+// resume. cpmsim's checkpoint files use the same format.
 package sweepd
 
 import (
