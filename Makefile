@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet bench bench-sweep sweep fuzz fuzz-smoke cover golden telemetry fleet-bench serve-smoke resilience-smoke scorecard all
+.PHONY: build test race vet fmt-check bench bench-sweep sweep fuzz fuzz-smoke cover golden telemetry fleet-bench serve-smoke resilience-smoke scorecard all
 
 # Output of `make bench` (see EXPERIMENTS.md). The checked-in BENCH_PR*.json
 # files are curated records; pass BENCH_OUT=BENCH_PR<n>.json to write one.
@@ -20,6 +20,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, if any Go file in the tree (perfbench included)
+# is not gofmt-formatted.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # Interval-kernel benchmark suite → $(BENCH_OUT): cache and stream
 # microbenches plus the end-to-end interval kernel, with alloc counters.
@@ -58,8 +63,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -fuzz FuzzChipSnapshotV3Restore -fuzztime 10s
 
 # Fleet throughput benchmark: chips/sec of the 64- and 1024-chip farms vs
-# the aggregate-scalar reference (informational; `make bench` pins the
-# numbers into $(BENCH_OUT)).
+# the aggregate-scalar reference, and of the 64-chip managed fleet
+# (informational; `make bench` pins the numbers into $(BENCH_OUT)).
 fleet-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetFarm' -benchtime 20x .
 

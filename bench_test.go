@@ -15,6 +15,7 @@ import (
 
 	cpm "github.com/cpm-sim/cpm"
 	"github.com/cpm-sim/cpm/internal/cache"
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/control"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/experiments"
@@ -401,7 +402,13 @@ func benchFleetFarm(b *testing.B, nChips int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fr.StepRound() // enter steady state
+	benchRounds(b, fr, nChips)
+}
+
+// benchRounds times one lockstep round of fr's nChips members per op,
+// after two rounds to reach steady state.
+func benchRounds(b *testing.B, fr *engine.FarmRunner, nChips int) {
+	fr.StepRound()
 	fr.StepRound()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -415,3 +422,46 @@ func benchFleetFarm(b *testing.B, nChips int) {
 
 func BenchmarkFleetFarm64(b *testing.B)   { benchFleetFarm(b, 64) }
 func BenchmarkFleetFarm1024(b *testing.B) { benchFleetFarm(b, 1024) }
+
+// managedFleetKinds cycle through the members of the managed fleet, as in
+// perfbench's fleet: every CPM scenario kind on the Mix-1 chip plus
+// MaxBIPS, so all members share one sampler.
+var managedFleetKinds = []string{
+	"cpm-default", "mpc-gpm", "cache-aware", "variation-aware",
+	"adaptive-pic", "fault-noise", "maxbips",
+}
+
+// BenchmarkFleetFarmManaged64 is BenchmarkFleetFarm64 with the per-chip
+// work of a swept or served fleet on top of the compute half: each of the
+// 64 record-driven Mix-1 chips runs its scenario's controller and
+// invariant suite (check.Scenario.BuildOn) and a golden recorder. Budgets
+// spread over (0.5, 0.95]; one op is one lockstep round.
+func BenchmarkFleetFarmManaged64(b *testing.B) {
+	const nChips, seed = 64, 1
+	sampler, err := sim.NewSampler(sim.DefaultConfig(workload.Mix1()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sessions := make([]*engine.Session, nChips)
+	for i := range sessions {
+		sc, err := check.ScenarioByName(managedFleetKinds[i%len(managedFleetKinds)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc.BudgetFrac = 0.5 + 0.45*float64(i+1)/nChips
+		// Effectively unbounded window, as in benchFleetFarm.
+		sc.WarmEpochs, sc.MeasureEpochs = 1, 1<<20
+		cmp, err := sim.NewWithRecords(sc.BuildConfig(seed), sampler)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sessions[i], _, err = sc.BuildOn(cmp, seed, check.NewGolden(sc.Name)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fr, err := engine.NewFarmRunner(sessions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRounds(b, fr, nChips)
+}

@@ -23,7 +23,8 @@ import (
 )
 
 // suite lists the benchmarks the report tracks: the cache microbenches, the
-// address-stream generator, and the end-to-end interval kernel.
+// address-stream generator, the end-to-end interval kernel, and the fleet
+// rounds, unmanaged and managed.
 var suite = []struct {
 	key   string // JSON key
 	bench string // exact benchmark name
@@ -36,6 +37,7 @@ var suite = []struct {
 	{"sim_step_8core", "BenchmarkSimStep8Sequential", "."},
 	{"fleet_round_64", "BenchmarkFleetFarm64", "."},
 	{"fleet_round_1024", "BenchmarkFleetFarm1024", "."},
+	{"fleet_managed_64", "BenchmarkFleetFarmManaged64", "."},
 }
 
 // fleets maps the fleet-round keys to their chip counts; the report derives

@@ -272,9 +272,10 @@ func (c Config) islandTol() float64 {
 }
 
 // All wires the standard invariant suite for cfg: budget conservation,
-// DVFS legality, thermal envelope, accounting conservation and the
-// determinism hash. Checks whose configuration is absent are omitted, so
-// All is safe for unmanaged and baseline runs too.
+// DVFS legality, thermal envelope and accounting conservation. Checks
+// whose configuration is absent are omitted, so All is safe for unmanaged
+// and baseline runs too. The state-series digest is the golden recorder's
+// (NewGolden), not the suite's.
 func All(cfg Config) *Suite {
 	s := &Suite{}
 	if cfg.BudgetW > 0 {
@@ -289,6 +290,5 @@ func All(cfg Config) *Suite {
 		s.Add(NewThermalEnvelope(cfg.Thermal, cfg.MaxCorePowerW))
 	}
 	s.Add(NewAccounting(cfg.MaxChipPowerW))
-	s.Add(NewDeterminism(0))
 	return s
 }

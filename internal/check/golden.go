@@ -7,26 +7,36 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"github.com/cpm-sim/cpm/internal/engine"
 )
 
 // Golden records a compact hashed trace of a run: one digest per measured
 // GPM epoch (folding the epoch's chip power, throughput, instruction count,
-// per-island powers and allocations), plus a final digest folding the
-// per-interval determinism hash. Stored traces are small (a few hundred
-// bytes per scenario) but pin the run's entire observable behaviour: any
-// change to the power model, controllers, workload generation or scheduling
+// per-island powers and allocations), plus a final digest of the whole
+// per-interval state series. Stored traces are small (a few hundred bytes
+// per scenario) but pin the run's entire observable behaviour: any change
+// to the power model, controllers, workload generation or scheduling
 // shifts at least one digest.
 //
-// Digest inputs are quantized to 9 significant decimal digits before
+// Epoch-digest inputs are quantized to 9 significant decimal digits before
 // hashing, so traces are stable against non-semantic float formatting
-// differences while still catching any real numerical drift.
+// differences while still catching any real numerical drift. The final
+// digest hashes raw bits: the run prologue (islands, cores, measured
+// intervals), every interval's chip power, throughput and peak
+// temperature, every island's level, frequency, power, BIPS and
+// instruction count, the step's allocations, and each epoch's means. Two
+// runs of the same configuration and seed produce the same digest on any
+// executor (sequential, island-parallel, pooled, farmed).
 type Golden struct {
 	recorder
 	scenario string
-	det      *Determinism
-	trace    Trace
+	// sum is the running FNV-1a value of the final digest. The whole hash
+	// state is this one word, which is what lets a mid-run recorder be
+	// checkpointed and resumed exactly.
+	sum   uint64
+	trace Trace
 }
 
 // NewGolden builds a recorder for the named scenario.
@@ -34,7 +44,7 @@ func NewGolden(scenario string) *Golden {
 	return &Golden{
 		recorder: recorder{name: "golden"},
 		scenario: scenario,
-		det:      NewDeterminism(0),
+		sum:      fnvOffset64,
 	}
 }
 
@@ -56,24 +66,69 @@ type Trace struct {
 	MaxTempC   float64 `json:"max_temp_c"`
 }
 
-// quantize renders v at 9 significant digits, the golden-digest input
-// format.
-func quantize(v float64) string { return fmt.Sprintf("%.9g", v) }
+// FNV-1a 64 parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 0xcbf29ce484222325
+	fnvPrime64  = 0x100000001b3
+)
+
+// fnvWord extends the FNV-1a 64 value h by the eight little-endian bytes
+// of v's bit pattern, taken straight from the word: byte for byte what
+// hash/fnv's New64a computes over them.
+func fnvWord(h uint64, v float64) uint64 {
+	b := math.Float64bits(v)
+	for i := 0; i < 8; i++ {
+		h ^= b & 0xff
+		h *= fnvPrime64
+		b >>= 8
+	}
+	return h
+}
+
+// appendQuantized appends v at 9 significant digits, the epoch-digest
+// input format: the bytes fmt's %.9g renders.
+func appendQuantized(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', 9, 64)
+}
 
 // RunStart implements engine.Observer.
 func (g *Golden) RunStart(info engine.RunInfo) {
-	g.det.RunStart(info)
+	h := g.sum
+	h = fnvWord(h, float64(info.Islands))
+	h = fnvWord(h, float64(info.Cores))
+	h = fnvWord(h, float64(info.MeasureIntervals))
+	g.sum = h
 	g.trace = Trace{Scenario: g.scenario}
 }
 
 // ObserveStep implements engine.Observer.
-func (g *Golden) ObserveStep(st engine.Step) { g.det.ObserveStep(st) }
+func (g *Golden) ObserveStep(st engine.Step) {
+	h := g.sum
+	h = fnvWord(h, float64(st.Index))
+	h = fnvWord(h, st.Sim.ChipPowerW)
+	h = fnvWord(h, st.Sim.TotalBIPS)
+	h = fnvWord(h, st.Sim.MaxTempC)
+	for i := range st.Sim.Islands {
+		ir := &st.Sim.Islands[i]
+		h = fnvWord(h, float64(ir.Level))
+		h = fnvWord(h, ir.FreqMHz)
+		h = fnvWord(h, ir.PowerW)
+		h = fnvWord(h, ir.BIPS)
+		h = fnvWord(h, ir.Instructions)
+	}
+	for _, a := range st.AllocW {
+		h = fnvWord(h, a)
+	}
+	g.sum = h
+}
 
 // ObserveEpoch implements engine.Observer.
 func (g *Golden) ObserveEpoch(e engine.Epoch) {
-	g.det.ObserveEpoch(e)
+	g.sum = fnvWord(fnvWord(fnvWord(g.sum, e.MeanPowerW), e.MeanBIPS), e.Instructions)
+
+	var buf [32]byte
 	h := fnv.New64a()
-	put := func(v float64) { h.Write([]byte(quantize(v))) }
+	put := func(v float64) { h.Write(appendQuantized(buf[:0], v)) }
 	put(float64(e.Index))
 	put(e.MeanPowerW)
 	put(e.MeanBIPS)
@@ -93,7 +148,7 @@ func (g *Golden) ObserveEpoch(e engine.Epoch) {
 
 // RunEnd implements engine.Observer.
 func (g *Golden) RunEnd(sum *engine.Summary) {
-	g.trace.FinalDigest = fmt.Sprintf("%016x", g.det.Sum64())
+	g.trace.FinalDigest = fmt.Sprintf("%016x", g.sum)
 	if sum != nil {
 		g.trace.MeanPowerW = round6(sum.MeanPowerW)
 		g.trace.MeanBIPS = round6(sum.MeanBIPS)
@@ -106,8 +161,8 @@ func (g *Golden) RunEnd(sum *engine.Summary) {
 // Sprintf/Sscanf, whose ties-to-even decimal rendering could flip a value
 // sitting exactly on a quantum boundary depending on how the compiler
 // contracted the upstream arithmetic; math.Round's half-away-from-zero rule
-// is deterministic in the value alone. (Digest inputs go through quantize,
-// not this.)
+// is deterministic in the value alone. (Digest inputs go through
+// appendQuantized, not this.)
 func round6(v float64) float64 {
 	return math.Round(v*1e6) / 1e6
 }

@@ -2,29 +2,9 @@ package check
 
 import "github.com/cpm-sim/cpm/internal/snapshot"
 
-// Snapshot appends the streaming digest position. The expectation is
-// construction-time configuration and not captured.
-func (c *Determinism) Snapshot(e *snapshot.Encoder) {
-	e.Tag(snapshot.TagDeterminism)
-	e.U64(c.h.sum)
-}
-
-// Restore reads state written by Snapshot. Call after the restored session
-// has fired RunStart: the restored position already folds the run prologue,
-// so it simply replaces whatever the reset hashed.
-func (c *Determinism) Restore(d *snapshot.Decoder) error {
-	d.Tag(snapshot.TagDeterminism)
-	sum := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.h.sum = sum
-	return nil
-}
-
 // Snapshot appends the recorder's mid-run state: the epoch digests emitted
-// so far and the interval-level digest position, keyed by scenario name so
-// a restore into a recorder for a different scenario fails loudly.
+// so far and the final digest's running value, keyed by scenario name so a
+// restore into a recorder for a different scenario fails loudly.
 func (g *Golden) Snapshot(e *snapshot.Encoder) {
 	e.Tag(snapshot.TagGolden)
 	e.String(g.scenario)
@@ -32,12 +12,13 @@ func (g *Golden) Snapshot(e *snapshot.Encoder) {
 	for _, dg := range g.trace.EpochDigests {
 		e.String(dg)
 	}
-	g.det.Snapshot(e)
+	e.Tag(snapshot.TagDeterminism)
+	e.U64(g.sum)
 }
 
-// Restore reads state written by Snapshot. As with Determinism.Restore,
-// call it after the restored session has fired RunStart — the reset that
-// RunStart performs is then overwritten with the captured state, and the
+// Restore reads state written by Snapshot. Call it after the restored
+// session has fired RunStart: the restored digest already folds the run
+// prologue, so it replaces whatever RunStart hashed and reset, and the
 // resumed run extends the trace exactly where the original left off.
 func (g *Golden) Restore(d *snapshot.Decoder) error {
 	d.Tag(snapshot.TagGolden)
@@ -56,9 +37,12 @@ func (g *Golden) Restore(d *snapshot.Decoder) error {
 	for i := range digests {
 		digests[i] = d.String()
 	}
+	d.Tag(snapshot.TagDeterminism)
+	sum := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	g.trace = Trace{Scenario: g.scenario, Epochs: n, EpochDigests: digests}
-	return g.det.Restore(d)
+	g.sum = sum
+	return nil
 }

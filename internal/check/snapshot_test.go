@@ -1,7 +1,10 @@
 package check
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"testing"
 	"testing/quick"
@@ -9,21 +12,64 @@ import (
 	"github.com/cpm-sim/cpm/internal/snapshot"
 )
 
-// TestFNV64aMatchesStdlib pins the settable hash to hash/fnv: the golden
-// final digests were recorded through the stdlib implementation, so any
-// divergence here would silently invalidate every stored trace.
+// goldenSpecials are the float64 values whose encodings the golden hashes
+// must handle like any other: NaN with payload bits, ±Inf, −0, the smallest
+// subnormal and the largest finite value.
+var goldenSpecials = []float64{
+	math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.Float64frombits(0xfff0_0000_0000_0001),
+	math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+}
+
+// TestFNV64aMatchesStdlib pins the final digest's word fold to hash/fnv:
+// the stored digests were recorded through the stdlib implementation, so
+// any divergence here would silently invalidate every stored trace. Over
+// any float64 sequence, folding each value must equal New64a over its
+// eight little-endian bytes.
 func TestFNV64aMatchesStdlib(t *testing.T) {
-	err := quick.Check(func(chunks [][]byte) bool {
-		ours := fnv64a{sum: fnvOffset64}
+	words := func(vs []float64) bool {
+		ours := uint64(fnvOffset64)
 		ref := fnv.New64a()
-		for _, c := range chunks {
-			ours.Write(c)
-			ref.Write(c)
+		var buf [8]byte
+		for _, v := range vs {
+			ours = fnvWord(ours, v)
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			ref.Write(buf[:])
 		}
-		return ours.Sum64() == ref.Sum64()
+		return ours == ref.Sum64()
+	}
+	err := quick.Check(func(bits []uint64, vs []float64) bool {
+		for _, b := range bits {
+			vs = append(vs, math.Float64frombits(b))
+		}
+		return words(vs)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !words(goldenSpecials) {
+		t.Fatal("word fold diverges from hash/fnv on special values")
+	}
+}
+
+// TestQuantizeMatchesSprintf pins the epoch-digest quantizer to the
+// fmt.Sprintf("%.9g") rendering the stored digests were recorded with,
+// byte for byte.
+func TestQuantizeMatchesSprintf(t *testing.T) {
+	same := func(v float64) bool {
+		return string(appendQuantized(nil, v)) == fmt.Sprintf("%.9g", v)
+	}
+	err := quick.Check(func(bits uint64, v float64) bool {
+		inRange := float64(bits>>11) / (1 << 53) * 1e4 // the magnitudes runs produce
+		return same(math.Float64frombits(bits)) && same(v) && same(inRange)
+	}, &quick.Config{MaxCount: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range goldenSpecials {
+		if !same(v) {
+			t.Errorf("%v: quantized %q, Sprintf %q", v, appendQuantized(nil, v), fmt.Sprintf("%.9g", v))
+		}
 	}
 }
 

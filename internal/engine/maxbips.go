@@ -100,9 +100,10 @@ func StaticPredictionTable(cmp *sim.CMP) [][]float64 {
 		m := cmp.IslandModel(i)
 		tbl := cmp.IslandTable(i)
 		out[i] = make([]float64, tbl.Levels())
+		full := power.FullActivity()
 		for l := 0; l < tbl.Levels(); l++ {
 			op := tbl.Point(l)
-			corePred := 0.7*m.Dynamic.Power(op, power.FullActivity()) +
+			corePred := 0.7*m.Dynamic.Power(op, &full) +
 				m.Leakage.Power(op.VoltageV, m.Leakage.TRefC, 1)
 			out[i][l] = corePred * float64(cmp.IslandCores(i))
 		}

@@ -36,7 +36,7 @@ func DefaultModel() *Model {
 // CorePower returns a core's total (dynamic + static) power in watts at DVFS
 // level lvl with interval activity a, temperature tC and variation
 // multiplier varMult.
-func (m *Model) CorePower(lvl int, a Activity, tC, varMult float64) float64 {
+func (m *Model) CorePower(lvl int, a *Activity, tC, varMult float64) float64 {
 	op := m.Table.Point(m.Table.ClampLevel(lvl))
 	return m.Dynamic.Power(op, a) + m.Leakage.Power(op.VoltageV, tC, varMult)
 }
@@ -47,7 +47,8 @@ func (m *Model) CorePower(lvl int, a Activity, tC, varMult float64) float64 {
 // percent-power figure in the paper.
 func (m *Model) CoreMaxPower() float64 {
 	op := m.Table.Max()
-	return m.Dynamic.Power(op, FullActivity()) + m.Leakage.Power(op.VoltageV, m.Leakage.TRefC, 1)
+	full := FullActivity()
+	return m.Dynamic.Power(op, &full) + m.Leakage.Power(op.VoltageV, m.Leakage.TRefC, 1)
 }
 
 // MaxChipPower returns the maximum chip power for n cores.

@@ -95,7 +95,8 @@ type ActivityProfile struct {
 	L2AccessFactor float64
 }
 
-// DeriveActivity maps an interval profile to per-unit activity factors.
+// DeriveActivity maps an interval profile to per-unit activity factors,
+// writing every unit of a.
 //
 // Execution units (ALUs, register file) gate well and track utilization and
 // the instruction mix. Front-end structures do not: on a running core the
@@ -104,12 +105,11 @@ type ActivityProfile struct {
 // busy servicing outstanding misses — so those units carry a structural
 // baseline in addition to the utilization-tracking component. The clock tree
 // always switches (its residual gating is the model's gate floor).
-func DeriveActivity(p ActivityProfile) Activity {
+func DeriveActivity(p *ActivityProfile, a *Activity) {
 	u := clamp01(p.Utilization)
 	fp := clamp01(p.FPFraction)
 	mem := clamp01(p.MemRefFraction)
 	l2 := clamp01(p.L2AccessFactor)
-	var a Activity
 	a.Units[UnitFetch] = 0.45 + 0.55*u
 	a.Units[UnitRename] = 0.35 + 0.65*u
 	a.Units[UnitIssue] = 0.50 + 0.50*u
@@ -120,7 +120,6 @@ func DeriveActivity(p ActivityProfile) Activity {
 	a.Units[UnitL1D] = clamp01(0.15 + 2.5*mem)
 	a.Units[UnitL2] = l2
 	a.Units[UnitClock] = 1
-	return a
 }
 
 func clamp01(v float64) float64 {
@@ -170,7 +169,7 @@ func NewDynamicModel(coreMaxW float64, ref OperatingPoint, gateFloor float64, w 
 //	w_u · P_max · (V/V_ref)² · (f/f_ref) · (gate + (1-gate)·α_u)
 //
 // — the C·V²·f·α law with the linear clock-gating floor.
-func (m *DynamicModel) Power(op OperatingPoint, a Activity) float64 {
+func (m *DynamicModel) Power(op OperatingPoint, a *Activity) float64 {
 	scale := (op.VoltageV / m.Ref.VoltageV) * (op.VoltageV / m.Ref.VoltageV) * (op.FreqMHz / m.Ref.FreqMHz)
 	total := 0.0
 	for u := Unit(0); u < NumUnits; u++ {
@@ -181,7 +180,7 @@ func (m *DynamicModel) Power(op OperatingPoint, a Activity) float64 {
 }
 
 // PowerBreakdown returns per-unit dynamic power in watts.
-func (m *DynamicModel) PowerBreakdown(op OperatingPoint, a Activity) [NumUnits]float64 {
+func (m *DynamicModel) PowerBreakdown(op OperatingPoint, a *Activity) [NumUnits]float64 {
 	scale := (op.VoltageV / m.Ref.VoltageV) * (op.VoltageV / m.Ref.VoltageV) * (op.FreqMHz / m.Ref.FreqMHz)
 	var out [NumUnits]float64
 	for u := Unit(0); u < NumUnits; u++ {

@@ -44,9 +44,17 @@ func TestUnitString(t *testing.T) {
 	}
 }
 
+// derive returns the activity DeriveActivity writes for p.
+func derive(p ActivityProfile) *Activity {
+	var a Activity
+	DeriveActivity(&p, &a)
+	return &a
+}
+
 func TestPowerAtReferenceFullActivity(t *testing.T) {
 	m := defaultDyn(t)
-	got := m.Power(m.Ref, FullActivity())
+	full := FullActivity()
+	got := m.Power(m.Ref, &full)
 	if math.Abs(got-10) > 1e-9 {
 		t.Errorf("power at reference, full activity = %v, want 10", got)
 	}
@@ -56,7 +64,7 @@ func TestPowerIdleIsGateFloor(t *testing.T) {
 	m := defaultDyn(t)
 	// Fully idle core draws GateFloor of the scaled max (the paper's linear
 	// clock gating with 10% power for unused components).
-	got := m.Power(m.Ref, Activity{})
+	got := m.Power(m.Ref, &Activity{})
 	if math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("idle power = %v, want 1.0 (10%% of 10W)", got)
 	}
@@ -66,8 +74,9 @@ func TestPowerMonotoneInLevel(t *testing.T) {
 	m := defaultDyn(t)
 	tbl := PentiumM()
 	prev := -1.0
+	full := FullActivity()
 	for i := 0; i < tbl.Levels(); i++ {
-		p := m.Power(tbl.Point(i), FullActivity())
+		p := m.Power(tbl.Point(i), &full)
 		if p <= prev {
 			t.Fatalf("power not increasing with level at %d", i)
 		}
@@ -82,11 +91,12 @@ func TestCubicFrequencyLaw(t *testing.T) {
 	m := defaultDyn(t)
 	tbl := PentiumM()
 	var cubes, powers []float64
+	full := FullActivity()
 	for i := 0; i < tbl.Levels(); i++ {
 		op := tbl.Point(i)
 		f := op.FreqMHz / 1000
 		cubes = append(cubes, f*f*f)
-		powers = append(powers, m.Power(op, FullActivity()))
+		powers = append(powers, m.Power(op, &full))
 	}
 	fit, err := stats.LinReg(cubes, powers)
 	if err != nil {
@@ -107,7 +117,7 @@ func TestLinearInUtilization(t *testing.T) {
 	op := PentiumM().Point(4)
 	var us, ps []float64
 	for u := 0.0; u <= 1.0; u += 0.05 {
-		act := DeriveActivity(ActivityProfile{
+		act := derive(ActivityProfile{
 			Utilization:    u,
 			FPFraction:     0.3,
 			MemRefFraction: 0.35,
@@ -131,7 +141,7 @@ func TestLinearInUtilization(t *testing.T) {
 func TestPowerBreakdownSumsToTotal(t *testing.T) {
 	m := defaultDyn(t)
 	op := PentiumM().Point(3)
-	act := DeriveActivity(ActivityProfile{Utilization: 0.7, FPFraction: 0.4, MemRefFraction: 0.3, L2AccessFactor: 0.2})
+	act := derive(ActivityProfile{Utilization: 0.7, FPFraction: 0.4, MemRefFraction: 0.3, L2AccessFactor: 0.2})
 	parts := m.PowerBreakdown(op, act)
 	sum := 0.0
 	for _, p := range parts {
@@ -144,7 +154,7 @@ func TestPowerBreakdownSumsToTotal(t *testing.T) {
 
 func TestDeriveActivityBounds(t *testing.T) {
 	// Out-of-range inputs are clamped.
-	a := DeriveActivity(ActivityProfile{Utilization: 2, FPFraction: -1, MemRefFraction: 5, L2AccessFactor: 9})
+	a := derive(ActivityProfile{Utilization: 2, FPFraction: -1, MemRefFraction: 5, L2AccessFactor: 9})
 	for u, v := range a.Units {
 		if v < 0 || v > 1 {
 			t.Errorf("activity[%s] = %v out of [0,1]", Unit(u), v)
@@ -156,7 +166,7 @@ func TestDeriveActivityBounds(t *testing.T) {
 }
 
 func TestDeriveActivityALUSplit(t *testing.T) {
-	a := DeriveActivity(ActivityProfile{Utilization: 1, FPFraction: 0.25})
+	a := derive(ActivityProfile{Utilization: 1, FPFraction: 0.25})
 	if math.Abs(a.Units[UnitIntALU]-0.75) > 1e-12 || math.Abs(a.Units[UnitFPU]-0.25) > 1e-12 {
 		t.Errorf("ALU split = (%v, %v), want (0.75, 0.25)", a.Units[UnitIntALU], a.Units[UnitFPU])
 	}
@@ -192,7 +202,7 @@ func TestPowerMonotoneInActivityProperty(t *testing.T) {
 		which := r.Intn(int(NumUnits))
 		bump := math.Abs(math.Mod(du, 1))
 		b.Units[which] = clamp01(b.Units[which] + bump)
-		return m.Power(op, b) >= m.Power(op, a)-1e-12
+		return m.Power(op, &b) >= m.Power(op, &a)-1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

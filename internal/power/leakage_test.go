@@ -74,7 +74,7 @@ func TestNewLeakageModelValidation(t *testing.T) {
 func TestModelAccounting(t *testing.T) {
 	m := DefaultModel()
 	// CorePower is the sum of the parts.
-	act := DeriveActivity(ActivityProfile{Utilization: 0.8, FPFraction: 0.3, MemRefFraction: 0.3})
+	act := derive(ActivityProfile{Utilization: 0.8, FPFraction: 0.3, MemRefFraction: 0.3})
 	lvl := 5
 	op := m.Table.Point(lvl)
 	want := m.Dynamic.Power(op, act) + m.Leakage.Power(op.VoltageV, 50, 1.2)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
 	"testing"
 )
 
@@ -111,5 +112,21 @@ func TestServerCacheDisabled(t *testing.T) {
 	// Re-running must still be deterministic: same bytes, fresh simulation.
 	if string(first) != string(second) {
 		t.Errorf("two uncached runs of one request differ")
+	}
+}
+
+// TestCachedResultIsTight pins the memory a cache entry costs: each
+// rendering of a fresh result is stored at about its own length, not in the
+// larger buffer it was encoded into.
+func TestCachedResultIsTight(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	wantStatus(t, postJSON(t, ts, runDoc(Request{Scenario: "cpm-default", Seed: goldenSeed})), http.StatusOK)
+	srv.mu.Lock()
+	res := srv.cache.ll.Front().Value.(*lruEntry).res
+	srv.mu.Unlock()
+	for name, b := range map[string][]byte{"body": res.body, "ndjson": res.ndjson} {
+		if spare := cap(b) - len(b); 4*spare >= len(b) {
+			t.Errorf("%s keeps %d spare bytes beside its %d", name, spare, len(b))
+		}
 	}
 }

@@ -65,8 +65,8 @@ type reportLine struct {
 // precomputed: the JSON report body and the NDJSON stream. Rendering once
 // at completion is what makes every response for a given cache key —
 // leader, coalesced follower, cache hit — byte-identical by construction.
+// The renderings are all a cache entry keeps.
 type result struct {
-	report Report
 	body   []byte // single JSON report (POST /v1/run)
 	ndjson []byte // per-epoch NDJSON stream (stream=true)
 }
@@ -138,7 +138,9 @@ func buildResult(req Request, sum engine.Summary, rec *epochRecorder, tr check.T
 	return renderResult(rep)
 }
 
-// renderResult produces both response bodies from a completed report.
+// renderResult produces both response bodies from a completed report. The
+// stream is copied out of the buffer it grew in, so a cached result holds
+// no spare capacity.
 func renderResult(rep Report) (*result, error) {
 	body, err := json.Marshal(rep)
 	if err != nil {
@@ -158,5 +160,5 @@ func renderResult(rep Report) (*result, error) {
 	if err := enc.Encode(reportLine{Type: "report", Report: final}); err != nil {
 		return nil, fmt.Errorf("serve: rendering stream trailer: %w", err)
 	}
-	return &result{report: rep, body: body, ndjson: stream.Bytes()}, nil
+	return &result{body: body, ndjson: bytes.Clone(stream.Bytes())}, nil
 }

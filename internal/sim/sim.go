@@ -691,32 +691,40 @@ func (c *CMP) Step() Result {
 
 // stepIsland evaluates one island's records at its operating point,
 // writing the island's observation into r and its cores' powers into
-// corePowers, and returns the island's memory block transfers.
+// corePowers, and returns the island's memory block transfers. It writes r
+// field by field and reuses one IntervalStats and one Activity across the
+// island's cores, so nothing is copied per core.
 func (c *CMP) stepIsland(st *islandState, recs []uarch.TraceRecord, r *IslandResult) uint64 {
 	overhead := st.isl.ConsumeOverhead()
 	op := st.isl.OperatingPoint()
-	*r = IslandResult{
-		Island:       st.isl.ID(),
-		Level:        st.isl.Level(),
-		FreqMHz:      op.FreqMHz,
-		Transitioned: overhead > 0,
-	}
-	var blocks uint64
+	var (
+		cs                        uarch.IntervalStats
+		act                       power.Activity
+		powerW, util, bips, instr float64
+		blocks                    uint64
+	)
 	for j, core := range st.cores {
 		coreID := st.isl.CoreIDs()[j]
-		cs := core.FinishInterval(recs[coreID], op.FreqMHz, c.cfg.IntervalSec, overhead)
-		act := power.DeriveActivity(cs.Activity)
-		pw := st.model.Dynamic.Power(op, act) +
+		core.FinishInterval(&recs[coreID], op.FreqMHz, c.cfg.IntervalSec, overhead, &cs)
+		power.DeriveActivity(&cs.Activity, &act)
+		pw := st.model.Dynamic.Power(op, &act) +
 			st.model.Leakage.Power(op.VoltageV, c.thermals.Temp(coreID), c.varmap.CoreMult(coreID))
 		c.corePowers[coreID] = pw
-		r.PowerW += pw
-		r.MeanUtil += cs.Utilization
-		r.BIPS += cs.BIPS
-		r.Instructions += cs.Instructions
+		powerW += pw
+		util += cs.Utilization
+		bips += cs.BIPS
+		instr += cs.Instructions
 		blocks += cs.MemBlocks
 	}
-	r.MeanUtil /= float64(len(st.cores))
-	r.PowerFracIsland = r.PowerW / st.maxPowerW
-	r.PowerFracChip = r.PowerW / c.maxChipW
+	r.Island = st.isl.ID()
+	r.Level = st.isl.Level()
+	r.FreqMHz = op.FreqMHz
+	r.PowerW = powerW
+	r.PowerFracIsland = powerW / st.maxPowerW
+	r.PowerFracChip = powerW / c.maxChipW
+	r.MeanUtil = util / float64(len(st.cores))
+	r.BIPS = bips
+	r.Instructions = instr
+	r.Transitioned = overhead > 0
 	return blocks
 }

@@ -70,16 +70,16 @@ func (c *ComputeCore) TotalInstructions() float64 { return c.totalInstructions }
 func (c *ComputeCore) SetExtraMemLatency(f func() float64) { c.extraMemNs = f }
 
 // FinishInterval evaluates the supplied record at the given operating
-// point: freqMHz for intervalSec, of which overheadFrac is lost to a DVFS
-// transition (0 when the operating point did not change). It accumulates
-// the instruction count.
-func (c *ComputeCore) FinishInterval(rec TraceRecord, freqMHz, intervalSec, overheadFrac float64) IntervalStats {
+// point, writing the interval's statistics into out: freqMHz for
+// intervalSec, of which overheadFrac is lost to a DVFS transition (0 when
+// the operating point did not change). It accumulates the instruction
+// count.
+func (c *ComputeCore) FinishInterval(rec *TraceRecord, freqMHz, intervalSec, overheadFrac float64, out *IntervalStats) {
 	memNs := c.memsys.LatencyNs()
 	if c.extraMemNs != nil {
 		memNs += c.extraMemNs()
 	}
-	stats := computeInterval(rec, c.cfg, c.prof, c.l2Lat, memNs,
-		freqMHz, intervalSec, overheadFrac)
-	c.totalInstructions += stats.Instructions
-	return stats
+	computeInterval(rec, &c.cfg, &c.prof, c.l2Lat, memNs,
+		freqMHz, intervalSec, overheadFrac, out)
+	c.totalInstructions += out.Instructions
 }

@@ -46,8 +46,10 @@ func TestComputeCoreExtraLatency(t *testing.T) {
 			cc.SetExtraMemLatency(func() float64 { return extra })
 		}
 		var instr float64
-		for _, rec := range recs {
-			instr += cc.FinishInterval(rec, 2000, 0.0025, 0).Instructions
+		var st IntervalStats
+		for k := range recs {
+			cc.FinishInterval(&recs[k], 2000, 0.0025, 0, &st)
+			instr += st.Instructions
 		}
 		return instr
 	}

@@ -244,9 +244,11 @@ func (c *Core) SampleInterval() TraceRecord {
 }
 
 // computeInterval turns a TraceRecord into IntervalStats at a given
-// operating point — the frequency-dependent half of the interval model.
-func computeInterval(rec TraceRecord, cfg Config, prof workload.Profile,
-	l2Lat, memNs, freqMHz, intervalSec, overheadFrac float64) IntervalStats {
+// operating point — the frequency-dependent half of the interval model. It
+// writes every field of out, one by one: assigning a composite literal
+// through the pointer would build it in a temporary and copy it.
+func computeInterval(rec *TraceRecord, cfg *Config, prof *workload.Profile,
+	l2Lat, memNs, freqMHz, intervalSec, overheadFrac float64, out *IntervalStats) {
 	memLat := memNs * freqMHz / 1000
 
 	// One instruction-cache block (64 B, ~16 instructions) is fetched per
@@ -277,28 +279,22 @@ func computeInterval(rec TraceRecord, cfg Config, prof workload.Profile,
 	// code, which is what makes the Figure 6 utilization→power relation
 	// linear across the whole suite.
 	active := busy + 0.5*(1-busy)
-	util := clamp01(active * freqMHz * (1 - overheadFrac) / cfg.NominalMaxMHz)
 
-	stats := IntervalStats{
-		Instructions: instructions,
-		CPI:          cpi,
-		BIPS:         instructions / intervalSec / 1e9,
-		BusyFrac:     busy,
-		Utilization:  util,
-		Phase:        rec.Phase,
-		Activity: power.ActivityProfile{
-			Utilization:    clamp01(busy * rec.ActMult * prof.ActivityScale),
-			FPFraction:     prof.FPFraction,
-			MemRefFraction: rec.MemRefs,
-			L2AccessFactor: clamp01(rec.MemRefs * (rec.PDataL2 + rec.PDataMem) * 4),
-		},
-	}
+	out.Instructions = instructions
+	out.CPI = cpi
+	out.BIPS = instructions / intervalSec / 1e9
+	out.BusyFrac = busy
+	out.Utilization = clamp01(active * freqMHz * (1 - overheadFrac) / cfg.NominalMaxMHz)
+	out.Phase = rec.Phase
+	out.Activity.Utilization = clamp01(busy * rec.ActMult * prof.ActivityScale)
+	out.Activity.FPFraction = prof.FPFraction
+	out.Activity.MemRefFraction = rec.MemRefs
+	out.Activity.L2AccessFactor = clamp01(rec.MemRefs * (rec.PDataL2 + rec.PDataMem) * 4)
 	// Full-interval memory traffic estimate from the sampled miss rates.
-	blocks := instructions * (rec.MemRefs*rec.PDataMem + fetchPerInstr*rec.PFetchMem)
-	if blocks > 0 {
-		stats.MemBlocks = uint64(blocks)
+	out.MemBlocks = 0
+	if blocks := instructions * (rec.MemRefs*rec.PDataMem + fetchPerInstr*rec.PFetchMem); blocks > 0 {
+		out.MemBlocks = uint64(blocks)
 	}
-	return stats
 }
 
 func clamp01(v float64) float64 {

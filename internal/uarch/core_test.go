@@ -27,7 +27,10 @@ func newTestCore(t *testing.T, s *Core, m *mem.System) testCore {
 
 // RunInterval samples one interval and evaluates it at freqMHz.
 func (c testCore) RunInterval(freqMHz, intervalSec, overheadFrac float64) IntervalStats {
-	return c.compute.FinishInterval(c.SampleInterval(), freqMHz, intervalSec, overheadFrac)
+	rec := c.SampleInterval()
+	var st IntervalStats
+	c.compute.FinishInterval(&rec, freqMHz, intervalSec, overheadFrac, &st)
+	return st
 }
 
 func newCore(t *testing.T, id int, seed uint64, bench string) testCore {
