@@ -32,8 +32,9 @@ fmt-check:
 bench:
 	$(GO) run ./cmd/benchreport -out $(BENCH_OUT) $(BENCH_FLAGS)
 
-# Serial-vs-pooled sweep benchmark, every point on its own sampler
-# (-farm-size 1); EXPERIMENTS.md records the measured speedup.
+# Serial-vs-pooled sweep benchmark on the resilient route (-resilient),
+# where every point is its own session sampling for itself and -workers
+# sets how many run at once; EXPERIMENTS.md records the measured speedup.
 bench-sweep:
 	$(GO) test ./cmd/cpmsweep/ -run '^$$' -bench BenchmarkPoolSweep -benchtime 3x
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -86,8 +85,6 @@ type Report struct {
 	Results   map[string]Entry      `json:"results"`
 	Fleet     map[string]FleetEntry `json:"fleet,omitempty"`
 }
-
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
 	out := flag.String("out", "BENCH.json", "output JSON path")
@@ -175,27 +172,44 @@ func run(bench, pkg string, count int, benchtime string) (Entry, error) {
 	best := Entry{}
 	seen := false
 	for _, line := range strings.Split(string(outb), "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		if !seen || ns < best.NsPerOp {
-			best.NsPerOp = ns
-			if m[3] != "" {
-				best.BytesPerOp, _ = strconv.ParseInt(m[3], 10, 64)
-				best.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-			}
-			seen = true
+		e, ok := parseBenchLine(line)
+		if ok && (!seen || e.NsPerOp < best.NsPerOp) {
+			best, seen = e, true
 		}
 	}
 	if !seen {
 		return Entry{}, fmt.Errorf("no benchmark output parsed")
 	}
 	return best, nil
+}
+
+// parseBenchLine reads one `go test -bench` result line: the benchmark
+// name, the iteration count, then value-unit pairs. b.ReportMetric units
+// print between ns/op and the -benchmem pair, so every field is found by
+// its unit, wherever it sits. ok is false for any other line.
+func parseBenchLine(line string) (e Entry, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return Entry{}, false
+	}
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return Entry{}, false
+	}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return Entry{}, false
+		}
+		switch f[i+1] {
+		case "ns/op":
+			e.NsPerOp, ok = v, true
+		case "B/op":
+			e.BytesPerOp = int64(v)
+		case "allocs/op":
+			e.AllocsPerOp = int64(v)
+		}
+	}
+	return e, ok
 }
 
 func parseBaseline(s string) (map[string]float64, error) {

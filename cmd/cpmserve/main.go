@@ -23,8 +23,6 @@
 //	-workers N    concurrent simulation workers (default 4)
 //	-queue N      queued runs beyond the workers before 429 (default 64)
 //	-cache N      LRU result-cache entries (default 256, 0 disables)
-//	-batch N      max jobs coalesced into one farm batch (default 16,
-//	              1 disables batching)
 //	-smoke N      run an N-request self-test instead of listening
 //	-metrics F    also export the registry to F on exit ("-" = stdout)
 //	-pprof ADDR   serve net/http/pprof on ADDR
@@ -69,7 +67,6 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 	workers := fs.Int("workers", 4, "concurrent simulation workers")
 	queue := fs.Int("queue", 64, "queued runs beyond the workers before 429")
 	cache := fs.Int("cache", 256, "LRU result-cache entries (0 disables)")
-	batch := fs.Int("batch", 16, "max jobs per farm batch (1 disables batching)")
 	smoke := fs.Int("smoke", 0, "run an N-request self-test instead of listening")
 	dflags := diag.AddFlags(fs)
 	fs.Usage = func() {
@@ -91,9 +88,6 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 	if *cache < 0 {
 		return cliConfig{}, fmt.Errorf("cpmserve: -cache must be >= 0, got %d", *cache)
 	}
-	if *batch < 1 {
-		return cliConfig{}, fmt.Errorf("cpmserve: -batch must be >= 1, got %d", *batch)
-	}
 	if *smoke < 0 {
 		return cliConfig{}, fmt.Errorf("cpmserve: -smoke must be >= 0, got %d", *smoke)
 	}
@@ -107,7 +101,6 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 			Workers:      *workers,
 			QueueDepth:   *queue,
 			CacheEntries: cacheEntries,
-			BatchMax:     *batch,
 		},
 		smoke: *smoke,
 		diag:  dflags,

@@ -17,7 +17,7 @@ func TestParseCLIDefaults(t *testing.T) {
 	if c.addr != ":8080" {
 		t.Errorf("addr = %q", c.addr)
 	}
-	if c.opts.Workers != 4 || c.opts.QueueDepth != 64 || c.opts.CacheEntries != 256 || c.opts.BatchMax != 16 {
+	if c.opts.Workers != 4 || c.opts.QueueDepth != 64 || c.opts.CacheEntries != 256 {
 		t.Errorf("default options = %+v", c.opts)
 	}
 	if c.smoke != 0 {
@@ -34,10 +34,10 @@ func TestParseCLIRejects(t *testing.T) {
 		{"zero workers", []string{"-workers", "0"}, "-workers"},
 		{"negative queue", []string{"-queue", "-1"}, "-queue"},
 		{"negative cache", []string{"-cache", "-1"}, "-cache"},
-		{"zero batch", []string{"-batch", "0"}, "-batch"},
 		{"negative smoke", []string{"-smoke", "-1"}, "-smoke"},
 		{"stray argument", []string{"serve"}, "unexpected arguments"},
 		{"unknown flag", []string{"-bogus"}, "bogus"},
+		{"undefined batch flag", []string{"-batch", "4"}, "flag provided but not defined: -batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,12 +54,12 @@ func TestParseCLIRejects(t *testing.T) {
 
 func TestParseCLIOverrides(t *testing.T) {
 	c, err := parseCLI([]string{"-addr", ":9090", "-workers", "2", "-queue", "0",
-		"-cache", "8", "-batch", "1", "-smoke", "5"}, io.Discard)
+		"-cache", "8", "-smoke", "5"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.addr != ":9090" || c.opts.Workers != 2 || c.opts.QueueDepth != 0 ||
-		c.opts.CacheEntries != 8 || c.opts.BatchMax != 1 || c.smoke != 5 {
+		c.opts.CacheEntries != 8 || c.smoke != 5 {
 		t.Errorf("parsed config = %+v smoke=%d", c.opts, c.smoke)
 	}
 }

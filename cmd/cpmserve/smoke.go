@@ -50,9 +50,9 @@ func runSmoke(srv *serve.Server, n int, stdout, stderr io.Writer) error {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// The seed cycle (5) is coprime with the scenario cycle (6), so
-			// a 100-request smoke spreads over 30 distinct runs — enough
-			// churn to exercise misses, hits, coalescing and farm batching.
+			// The seed cycle (5) is coprime with the scenario cycle (11),
+			// so a 100-request smoke spreads over 55 distinct runs — enough
+			// churn to exercise misses, hits and coalescing.
 			req := serve.Request{
 				Scenario: names[i%len(names)],
 				Seed:     uint64(1 + i%5),
@@ -79,8 +79,8 @@ func runSmoke(srv *serve.Server, n int, stdout, stderr io.Writer) error {
 	wg.Wait()
 
 	st := srv.Stats()
-	fmt.Fprintf(stderr, "cpmserve -smoke: %d requests: %d runs (%d batched in %d farm groups), %d hits, %d coalesced, %d failures\n",
-		n, st.Runs, st.BatchedJobs, st.FarmBatches, st.Hits, st.Coalesced, len(errs))
+	fmt.Fprintf(stderr, "cpmserve -smoke: %d requests: %d runs, %d hits, %d coalesced, %d failures\n",
+		n, st.Runs, st.Hits, st.Coalesced, len(errs))
 	for _, e := range errs {
 		fmt.Fprintln(stderr, " ", e)
 	}

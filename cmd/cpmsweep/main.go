@@ -4,18 +4,18 @@
 // By default the sweep routes every point — the unmanaged baseline plus a
 // CPM and a MaxBIPS run per budget — through one internal/farm fleet: the
 // points share a workload identity, so they share one trace sampler and
-// each pays only its cheap frequency-dependent half. -farm-size 1 gives
-// every point its own sampler instead, and -resilient routes the points
-// through the crash-safe sweepd coordinator; any -workers and any
-// -farm-size produce byte-identical CSV (results are emitted in budget
-// order), and so does -resilient. Every point is a check.Scenario built by
-// its one constructor; the routes differ only in how the built sessions
-// are scheduled. Progress and ETA go to stderr; stdout carries only the CSV.
+// each pays only its cheap frequency-dependent half. -resilient routes the
+// points through the crash-safe sweepd coordinator instead, -workers of
+// them at a time; both routes produce byte-identical CSV at any -workers
+// (results are emitted in budget order). Every point is a check.Scenario
+// built by its one constructor; the routes differ only in how the built
+// sessions are scheduled. Progress and ETA go to stderr; stdout carries
+// only the CSV.
 //
 // Usage:
 //
 //	cpmsweep -mix mix1 -budgets 0.5,0.6,0.7,0.8,0.9 -epochs 16
-//	cpmsweep -mix mix3 -policy variation -budgets 0.8 -workers 4
+//	cpmsweep -mix mix3 -policy variation -budgets 0.8 -resilient -workers 4
 //
 // Columns: budget_frac, budget_w, ours_power_w, ours_degradation,
 // maxbips_power_w, maxbips_degradation.
@@ -55,10 +55,9 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	seed := fs.Uint64("seed", 1, "simulation seed (non-zero)")
 	warm := fs.Int("warm", 6, "warm-up GPM epochs")
 	epochs := fs.Int("epochs", 16, "measured GPM epochs")
-	workers := fs.Int("workers", 0, "concurrent sampler groups (one per point with -farm-size 1), or concurrent points with -resilient (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent points with -resilient (0 = GOMAXPROCS); the default farm route steps every point in one sampler group")
 	checked := fs.Bool("check", false, "fail the sweep on any invariant violation (every run carries the invariant suite)")
 	warmstart := fs.Bool("warmstart", false, "warm the chip once unmanaged, snapshot it, and fork every budget point from the snapshot (skips per-point warm-up; trajectories differ slightly from the default per-point managed warm-up)")
-	farmSize := fs.Int("farm-size", 0, "max chips per farm sampler group; 0 = unlimited (one shared group per workload)")
 	resilient := fs.Bool("resilient", false, "route points through the crash-safe sweepd coordinator: workers checkpoint at interval boundaries and killed or panicked workers migrate their point to a survivor (identical CSV)")
 	killEvery := fs.Int("kill-every", 0, "inject a deterministic worker kill each time a point first completes an interval divisible by N (requires -resilient; 0 = off)")
 	ckptEvery := fs.Int("ckpt-every", 0, "checkpoint cadence in intervals for -resilient workers (0 = every 20)")
@@ -77,9 +76,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	}
 	if *workers < 0 {
 		return sweepOptions{}, fmt.Errorf("cpmsweep: -workers must be >= 0, got %d", *workers)
-	}
-	if *farmSize < 0 {
-		return sweepOptions{}, fmt.Errorf("cpmsweep: -farm-size must be >= 0, got %d", *farmSize)
 	}
 	if *killEvery < 0 {
 		return sweepOptions{}, fmt.Errorf("cpmsweep: -kill-every must be >= 0, got %d", *killEvery)
@@ -112,7 +108,6 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 		Workers:   *workers,
 		Check:     *checked,
 		WarmStart: *warmstart,
-		FarmSize:  *farmSize,
 		Resilient: *resilient,
 		KillEvery: *killEvery,
 		CkptEvery: *ckptEvery,
@@ -145,8 +140,9 @@ type sweepOptions struct {
 	Seed     uint64
 	Warm     int
 	Epochs   int
-	// Workers is the engine.Pool size (0 = GOMAXPROCS): concurrent sampler
-	// groups on the farm route, concurrent points on the resilient route.
+	// Workers is the number of concurrent points on the resilient route
+	// (0 = GOMAXPROCS). The farm route steps its one sampler group on one
+	// worker whatever the count.
 	Workers int
 	// Check fails the sweep on any invariant violation; every run carries
 	// the suite either way.
@@ -158,10 +154,6 @@ type sweepOptions struct {
 	// unmanaged, so the measured trajectories (and CSV) differ slightly
 	// from the default per-point managed warm-up.
 	WarmStart bool
-	// FarmSize caps the chips per farm sampler group (0 = unlimited; 1
-	// gives every point its own sampler). Grouping changes scheduling only,
-	// never the CSV.
-	FarmSize int
 	// Resilient routes every point through the sweepd coordinator:
 	// independent sessions checkpointed at interval boundaries, with dead
 	// workers' points migrated to survivors. CSV is byte-identical to the
@@ -269,8 +261,9 @@ func (o sweepOptions) verdict(sc check.Scenario, suite *check.Suite) error {
 // All points share the sweep's workload identity (budget, controller and
 // initial DVFS level are compute-half state), so they collapse into one
 // sampler group and the sweep pays the sampling cost of a single run
-// instead of 1+2*len(budgets) runs. Chips are bit-identical to sim.New
-// chips, so the CSV is byte-identical at any -workers or -farm-size.
+// instead of 1+2*len(budgets) runs, stepped on one worker. Chips are
+// bit-identical to sim.New chips, so the CSV is byte-identical to the
+// scalar oracle's.
 func runFarm(pts []check.Scenario, o sweepOptions, samplerState []byte, logw io.Writer) ([]engine.Summary, error) {
 	specs := make([]farm.ChipSpec, len(pts))
 	suites := make([]*check.Suite, len(pts))
@@ -285,12 +278,12 @@ func runFarm(pts []check.Scenario, o sweepOptions, samplerState []byte, logw io.
 			},
 		}
 	}
-	f, err := farm.New(specs, farm.Options{MaxGroup: o.FarmSize, SamplerState: samplerState})
+	f, err := farm.New(specs, farm.Options{SamplerState: samplerState})
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(logw, "farm: %d points in %d sampler group(s)\n", f.NumChips(), f.NumGroups())
-	sums, err := f.Run(engine.Pool{Workers: o.Workers}, progressPrinter(logw))
+	sums, err := f.Run(engine.Pool{Workers: 1}, progressPrinter(logw))
 	if err != nil {
 		return nil, err
 	}

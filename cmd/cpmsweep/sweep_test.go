@@ -24,16 +24,22 @@ func testOptions(workers int) sweepOptions {
 }
 
 // TestSweepOutputIdenticalAcrossWorkerCounts is the CSV-level determinism
-// guarantee: pooled execution must be byte-identical to serial.
+// guarantee: pooled execution must be byte-identical to serial. -workers
+// acts only on the resilient route, so that is the route it runs.
 func TestSweepOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
+	resilient := func(workers int) sweepOptions {
+		o := testOptions(workers)
+		o.Resilient = true
+		return o
+	}
 	var serial, pooled bytes.Buffer
-	if err := sweep(testOptions(1), &serial, io.Discard); err != nil {
+	if err := sweep(resilient(1), &serial, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := sweep(testOptions(8), &pooled, io.Discard); err != nil {
+	if err := sweep(resilient(8), &pooled, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
@@ -47,8 +53,9 @@ func TestSweepOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 
 // TestWarmStartSweepDeterministic pins the forked warm-up path: every
 // budget point restores the same warm snapshot, so the CSV must still be
-// byte-identical across worker counts, and the checked suite must stay
-// clean on the forked chips.
+// byte-identical across worker counts (on the resilient route, where
+// -workers acts), and the checked suite must stay clean on the forked
+// chips.
 func TestWarmStartSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-start sweep in -short mode")
@@ -58,6 +65,7 @@ func TestWarmStartSweepDeterministic(t *testing.T) {
 		o.Fracs = []float64{0.7, 0.8, 0.9}
 		o.WarmStart = true
 		o.Check = true
+		o.Resilient = true
 		return o
 	}
 	var serial, pooled bytes.Buffer
@@ -173,6 +181,7 @@ func TestParseSweepCLIRejects(t *testing.T) {
 		{"NaN budget", []string{"-budgets", "0.8,NaN"}, "-budgets: budget NaN out of (0, 1]"},
 		{"empty budgets", []string{"-budgets", ""}, "bad budget"},
 		{"undefined scalar flag", []string{"-scalar"}, "not defined"},
+		{"undefined farm-size flag", []string{"-farm-size", "1"}, "flag provided but not defined: -farm-size"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -224,14 +233,15 @@ func TestMakePolicyNames(t *testing.T) {
 }
 
 // BenchmarkPoolSweep compares a serial 8-point sweep against the pooled
-// executor, every point on its own sampler (-farm-size 1). Calibration is
-// cached by the first iteration; the benchmark isolates the fan-out of
-// independent sampler groups.
+// executor on the resilient route (-resilient), where every point is its
+// own session sampling for itself and -workers sets how many run at once.
+// Calibration is cached by the first iteration; the benchmark isolates the
+// fan-out of independent points.
 func BenchmarkPoolSweep(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		b.Helper()
 		o := testOptions(workers)
-		o.FarmSize = 1
+		o.Resilient = true
 		for i := 0; i < b.N; i++ {
 			if err := sweep(o, io.Discard, io.Discard); err != nil {
 				b.Fatal(err)
@@ -291,9 +301,9 @@ func scalarCSV(t *testing.T, o sweepOptions) []byte {
 }
 
 // TestSweepFarmMatchesScalar is the sweep-level equivalence contract: the
-// farm route must produce CSV byte-identical to the scalar oracle, whether
-// every point shares one sampler or each has its own, with the invariant
-// suite attached to every point.
+// farm route, every point over one shared sampler, must produce CSV
+// byte-identical to the scalar oracle, with the invariant suite attached to
+// every point.
 func TestSweepFarmMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm-vs-scalar sweep in -short mode")
@@ -303,16 +313,9 @@ func TestSweepFarmMatchesScalar(t *testing.T) {
 		o.Fracs = []float64{0.7, 0.8, 0.9}
 		o.Warm = warm
 		o.Check = true
-		scalar := scalarCSV(t, o)
-
-		for _, size := range []int{0, 1, 3} {
-			fo := o
-			fo.FarmSize = size
-			fo.Workers = 2
-			if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-				t.Errorf("warm=%d farm-size=%d CSV differs from scalar oracle:\n--- scalar ---\n%s--- farm ---\n%s",
-					warm, size, scalar, got)
-			}
+		if got, scalar := runSweep(t, o), scalarCSV(t, o); !bytes.Equal(got, scalar) {
+			t.Errorf("warm=%d CSV differs from scalar oracle:\n--- scalar ---\n%s--- farm ---\n%s",
+				warm, scalar, got)
 		}
 	}
 }
@@ -328,15 +331,7 @@ func TestSweepFarmWarmstartMatchesScalar(t *testing.T) {
 	o.Fracs = []float64{0.7, 0.9}
 	o.WarmStart = true
 	o.Check = true
-	scalar := scalarCSV(t, o)
-
-	for _, size := range []int{0, 1} {
-		fo := o
-		fo.FarmSize = size
-		fo.Workers = 4
-		if got := runSweep(t, fo); !bytes.Equal(got, scalar) {
-			t.Errorf("warm-started farm-size=%d CSV differs from scalar oracle:\n--- scalar ---\n%s--- farm ---\n%s",
-				size, scalar, got)
-		}
+	if got, scalar := runSweep(t, o), scalarCSV(t, o); !bytes.Equal(got, scalar) {
+		t.Errorf("warm-started CSV differs from scalar oracle:\n--- scalar ---\n%s--- farm ---\n%s", scalar, got)
 	}
 }

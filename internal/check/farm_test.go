@@ -99,27 +99,12 @@ func TestFarmSharedSamplerGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumGroups() >= f.NumChips() {
-		t.Fatalf("no sharing: %d chips built %d groups", f.NumChips(), f.NumGroups())
+	keys := map[farm.WorkloadKey]bool{}
+	for _, spec := range specs {
+		keys[farm.KeyOf(spec.Config)] = true
 	}
-	if _, err := f.Run(engine.Pool{Workers: 4}, nil); err != nil {
-		t.Fatal(err)
-	}
-	checkFarmTraces(t, scenarios, goldens, suites)
-}
-
-// TestFarmGroupSplitInvariance pins that MaxGroup (the farm-size knob)
-// changes only scheduling, never results: the same eleven scenarios split
-// into groups of at most two reproduce the same pinned digests.
-func TestFarmGroupSplitInvariance(t *testing.T) {
-	scenarios := Canonical()
-	specs, goldens, suites := farmSpecs(t, scenarios, goldenSeed)
-	f, err := farm.New(specs, farm.Options{MaxGroup: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.NumGroups() < 3 {
-		t.Fatalf("MaxGroup=2 over %d chips built only %d groups", f.NumChips(), f.NumGroups())
+	if f.NumGroups() != len(keys) || len(keys) >= f.NumChips() {
+		t.Fatalf("%d chips over %d workload keys built %d groups, want one per key", f.NumChips(), len(keys), f.NumGroups())
 	}
 	if _, err := f.Run(engine.Pool{Workers: 4}, nil); err != nil {
 		t.Fatal(err)

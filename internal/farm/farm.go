@@ -1,7 +1,7 @@
 // Package farm batches many chip simulations into shared-workload groups
-// stepped in lockstep — the one in-memory executor for batches of runs,
-// between the single-chip kernel (internal/sim) and the batch drivers
-// (cpmsweep, cpmserve, perfbench's fleet).
+// stepped in lockstep — the in-memory executor for batches of runs that
+// share a workload, between the single-chip kernel (internal/sim) and the
+// batch drivers (cpmsweep, perfbench's fleet).
 //
 // The enabling property is that uarch.TraceRecords are frequency-
 // independent: the expensive half of a chip interval (phase generation,
@@ -18,8 +18,8 @@
 // A member chip steps the same code as the chip sim.New builds from its
 // Config, over a shared sampler instead of its own, so it is bit-identical
 // to that chip — pinned against the golden scenarios by internal/check —
-// and group membership, group size and pool worker count never change
-// results, only wall-clock.
+// and group membership and pool worker count never change results, only
+// wall-clock.
 package farm
 
 import (
@@ -69,13 +69,11 @@ type ChipSpec struct {
 
 // Options shapes farm construction.
 type Options struct {
-	// MaxGroup caps the number of chips sharing one sampler; groups larger
-	// than the cap are split (each split gets its own sampler, trading
-	// amortization for pool parallelism). 0 means unlimited.
-	MaxGroup int
 	// SamplerState, when non-nil, is a sim.Sampler snapshot restored into
-	// every group's sampler — the warm-started path, where member chips
-	// fork from templates already advanced past the snapshot's cursor.
+	// the farm's one sampler — the warm-started path, where member chips
+	// fork from templates already advanced past the snapshot's cursor. The
+	// snapshot does not name its workload, so the specs must share one
+	// WorkloadKey.
 	SamplerState []byte
 }
 
@@ -98,9 +96,9 @@ type Farm struct {
 }
 
 // New builds the fleet: specs are grouped by WorkloadKey (first-seen
-// order, split at opts.MaxGroup), each group gets one sampler, and every
-// spec becomes a record-driven chip plus session. Construction is eager
-// and deterministic; Run only steps.
+// order), each group gets one sampler, and every spec becomes a
+// record-driven chip plus session. Construction is eager and
+// deterministic; Run only steps.
 func New(specs []ChipSpec, opts Options) (*Farm, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("farm: no chips")
@@ -121,20 +119,15 @@ func New(specs []ChipSpec, opts Options) (*Farm, error) {
 		byKey[k] = append(byKey[k], i)
 	}
 
+	if opts.SamplerState != nil && len(order) > 1 {
+		return nil, fmt.Errorf("farm: a sampler snapshot restores one workload, but the chips span %d workload keys", len(order))
+	}
 	for _, k := range order {
-		idxs := byKey[k]
-		for len(idxs) > 0 {
-			n := len(idxs)
-			if opts.MaxGroup > 0 && n > opts.MaxGroup {
-				n = opts.MaxGroup
-			}
-			g, err := buildGroup(k, specs, idxs[:n], opts.SamplerState)
-			if err != nil {
-				return nil, err
-			}
-			f.groups = append(f.groups, g)
-			idxs = idxs[n:]
+		g, err := buildGroup(k, specs, byKey[k], opts.SamplerState)
+		if err != nil {
+			return nil, err
 		}
+		f.groups = append(f.groups, g)
 	}
 	return f, nil
 }
@@ -199,7 +192,7 @@ func (f *Farm) progress(delta int) {
 // parallelism; within a group, chips step in lockstep rounds — and
 // returns the summaries in spec order. onProgress, when non-nil, is
 // invoked (serialized) whenever sessions finish, with fleet-wide counts.
-// Byte-identical results at any pool size or grouping.
+// Byte-identical results at any pool size.
 func (f *Farm) Run(pool engine.Pool, onProgress func(completed, total int)) ([]engine.Summary, error) {
 	f.onProgress = onProgress
 	out := make([]engine.Summary, f.nSpecs)

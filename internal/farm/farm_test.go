@@ -2,11 +2,14 @@ package farm
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/noc"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/snapshot"
 	"github.com/cpm-sim/cpm/internal/uarch"
 	"github.com/cpm-sim/cpm/internal/variation"
 	"github.com/cpm-sim/cpm/internal/workload"
@@ -91,4 +94,38 @@ func sampleBatches(t *testing.T, cfg sim.Config, n int) [][]uarch.TraceRecord {
 		out[k] = append([]uarch.TraceRecord(nil), s.Records(k)...)
 	}
 	return out
+}
+
+// TestSamplerStateNeedsOneWorkload: a sampler snapshot carries RNG and
+// cache state but not the seed it was sampled under, so restoring a seed-1
+// snapshot into a seed-2 sampler would replay seed 1's workload under seed
+// 2's name. A farm given a snapshot must therefore span one workload key.
+func TestSamplerStateNeedsOneWorkload(t *testing.T) {
+	cfgs := []sim.Config{baseConfig(), baseConfig()}
+	cfgs[0].Seed, cfgs[1].Seed = 1, 2
+	sampler, err := sim.NewSampler(cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		sampler.Records(k)
+	}
+	e := snapshot.NewEncoder()
+	sampler.Snapshot(e)
+	specs := make([]ChipSpec, len(cfgs))
+	for i, cfg := range cfgs {
+		specs[i] = ChipSpec{Config: cfg, NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+			return engine.NewSession(engine.NewChipRunner(cmp), engine.SessionConfig{MeasureEpochs: 1})
+		}}
+	}
+	if _, err := New(specs, Options{SamplerState: e.Bytes()}); err == nil || !strings.Contains(err.Error(), "span 2") {
+		t.Fatalf("New over two workload keys with a sampler snapshot: err %v, want a refusal naming 2 keys", err)
+	}
+	f, err := New(specs[:1], Options{SamplerState: e.Bytes()})
+	if err != nil {
+		t.Fatalf("New over the snapshot's own workload: %v", err)
+	}
+	if f.NumGroups() != 1 {
+		t.Errorf("one workload key built %d groups", f.NumGroups())
+	}
 }

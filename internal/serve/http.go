@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -36,23 +35,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// retryAfterSeconds renders the configured back-off for the Retry-After
-// header, which only speaks integral seconds: round up, never below 1.
-// Truncation would turn any sub-second back-off into "Retry-After: 0" —
-// an invitation to hammer the server, the opposite of backpressure.
-func (s *Server) retryAfterSeconds() string {
-	secs := int(math.Ceil(s.opts.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the client back-off, in the whole seconds the Retry-After
+// header speaks, advertised on 429 and 503 responses.
+const retryAfter = "1"
 
 // writeJSONError emits the uniform error document. Retry hints go on the
 // admission-pressure codes.
 func (s *Server) writeJSONError(w http.ResponseWriter, code int, msg string) {
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -126,7 +117,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Stats().Draining {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

@@ -7,40 +7,30 @@ import (
 	"time"
 )
 
-// Retry-After only speaks integral seconds: a sub-second configured
-// back-off must round up to 1, never truncate to 0 ("retry immediately").
-// The pre-fix code rendered int(Seconds()), so 250ms became "0".
-func TestRetryAfterRoundsUpToWholeSeconds(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
+// TestRetryAfterIsOneSecond: the admission-pressure codes advertise a
+// one-second back-off; other errors carry no retry hint.
+func TestRetryAfterIsOneSecond(t *testing.T) {
+	srv := NewServer(Options{Workers: 1})
+	defer srv.Close()
+	for _, tc := range []struct {
+		code int
 		want string
 	}{
-		{250 * time.Millisecond, "1"},
-		{999 * time.Millisecond, "1"},
-		{time.Second, "1"},
-		{1500 * time.Millisecond, "2"},
-		{3 * time.Second, "3"},
-	}
-	for _, tc := range cases {
-		srv := NewServer(Options{Workers: 1, RetryAfter: tc.d})
+		{http.StatusTooManyRequests, "1"},
+		{http.StatusServiceUnavailable, "1"},
+		{http.StatusBadRequest, ""},
+	} {
 		rec := httptest.NewRecorder()
-		srv.writeJSONError(rec, http.StatusTooManyRequests, "queue full")
+		srv.writeJSONError(rec, tc.code, "refused")
 		if got := rec.Header().Get("Retry-After"); got != tc.want {
-			t.Errorf("RetryAfter %v: header %q, want %q", tc.d, got, tc.want)
+			t.Errorf("%d: Retry-After %q, want %q", tc.code, got, tc.want)
 		}
-		// Non-pressure codes must not advertise a retry hint.
-		rec = httptest.NewRecorder()
-		srv.writeJSONError(rec, http.StatusBadRequest, "bad request")
-		if got := rec.Header().Get("Retry-After"); got != "" {
-			t.Errorf("RetryAfter %v: 400 carried Retry-After %q", tc.d, got)
-		}
-		srv.Close()
 	}
 }
 
-// The draining health probe advertises the same rounded-up back-off.
+// The draining health probe advertises the same back-off.
 func TestHealthzDrainingRetryAfterHeader(t *testing.T) {
-	srv := NewServer(Options{Workers: 1, RetryAfter: 100 * time.Millisecond})
+	srv := NewServer(Options{Workers: 1})
 	defer srv.Close()
 	go srv.Drain()
 	// Drain flips the stats flag before waiting on workers; poll until the

@@ -7,23 +7,24 @@
 // Determinism is the load-bearing property. Every request resolves to a
 // content-addressed fingerprint (Request.CacheKey, in the snapshot-header
 // style, versioned by snapshot.Version and ResultVersion), and the server
-// exploits it at three levels:
+// exploits it at two levels:
 //
 //  1. Result cache: identical resolved requests are served from a bounded
 //     LRU of rendered results — byte-identical bodies, zero simulation.
 //  2. Coalescing: concurrent identical requests collapse onto one in-flight
 //     run (singleflight); followers wait for the leader's result.
-//  3. Batch admission: distinct queued requests that share a farm workload
-//     key (same sampling half: seed, mix, core/cache geometry) are run as
-//     one internal/farm group over a single shared trace sampler instead of
-//     N groups of one.
 //
-// Admission is a bounded queue over a fixed worker pool: when the number of
-// outstanding runs reaches Workers+QueueDepth the server answers 429 with
-// Retry-After instead of building an unbounded backlog. StartDrain flips
-// the server into drain mode — accepted runs (queued and in-flight) finish,
-// new submissions are refused with 503 — and Drain blocks until the last
-// accepted run completes, which is the graceful-SIGTERM path of cmd/cpmserve.
+// Every other request is one run: a worker takes the oldest queued job and
+// builds it through check.Scenario.Build, the constructor cpmsim, sweepd
+// and the experiments use.
+//
+// Admission is a bounded FIFO queue over a fixed worker pool: when the
+// number of outstanding runs reaches Workers+QueueDepth the server answers
+// 429 with Retry-After instead of building an unbounded backlog. StartDrain
+// flips the server into drain mode — accepted runs (queued and in-flight)
+// finish, new submissions are refused with 503 — and Drain blocks until the
+// last accepted run completes, which is the graceful-SIGTERM path of
+// cmd/cpmserve.
 package serve
 
 import (
@@ -31,15 +32,13 @@ import (
 	"time"
 
 	"github.com/cpm-sim/cpm/internal/check"
-	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/metrics"
 )
 
 // Options shapes a Server.
 type Options struct {
 	// Workers is the number of concurrent simulation workers; <= 0 selects
-	// 4. Each worker runs one pick — one job or a batch — as one farm group
-	// at a time.
+	// 4. Each worker runs one job at a time.
 	Workers int
 	// QueueDepth bounds the backlog beyond the running jobs: a submission
 	// arriving with Workers+QueueDepth jobs outstanding is rejected with
@@ -48,19 +47,13 @@ type Options struct {
 	// CacheEntries bounds the LRU result cache; 0 selects 256, negative
 	// disables caching.
 	CacheEntries int
-	// BatchMax caps how many compatible queued jobs one worker admits into
-	// a single farm group; <= 1 disables batching. 0 selects 16.
-	BatchMax int
-	// RetryAfter is the client back-off advertised on 429/503 responses;
-	// <= 0 selects 1s.
-	RetryAfter time.Duration
 	// Registry receives both the server's own telemetry and the per-run
 	// engine telemetry, served at /metrics. Nil creates a fresh registry.
 	Registry *metrics.Registry
 	// RunHook, when non-nil, is called on the executing worker once per
-	// simulation run (per job — batched jobs fire once each), immediately
-	// before the run starts. Tests use it as the run counter proving
-	// coalescing, and block in it to hold workers busy.
+	// simulation run, immediately before the run starts. Tests use it as
+	// the run counter proving coalescing, and block in it to hold workers
+	// busy.
 	RunHook func(req Request)
 }
 
@@ -74,12 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 256
-	}
-	if o.BatchMax == 0 {
-		o.BatchMax = 16
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.Registry == nil {
 		o.Registry = metrics.NewRegistry()
@@ -95,10 +82,8 @@ type Stats struct {
 	Hits, Misses, Coalesced uint64
 	// RejectedQueueFull and RejectedDraining count 429 and 503 refusals.
 	RejectedQueueFull, RejectedDraining uint64
-	// Runs counts simulation runs executed (each batched job counts one);
-	// FarmBatches counts worker picks of more than one job; BatchedJobs
-	// counts jobs that rode in them.
-	Runs, FarmBatches, BatchedJobs uint64
+	// Runs counts simulation runs executed.
+	Runs uint64
 	// CacheEntries and QueueDepth are current occupancy; Draining reports
 	// drain mode.
 	CacheEntries, QueueDepth int
@@ -112,8 +97,6 @@ type job struct {
 	req Request
 	sc  check.Scenario
 	key string
-	// wkey groups jobs that may share one farm trace sampler.
-	wkey farm.WorkloadKey
 
 	done chan struct{}
 	res  *result
@@ -129,14 +112,15 @@ type Server struct {
 	mu          sync.Mutex
 	cache       *lruCache
 	flights     map[string]*job // cache key -> in-flight leader
-	queue       []*job          // accepted, not yet picked by a worker
 	outstanding int             // queued + running jobs
 	draining    bool
 	stats       Stats
 
-	kick      chan struct{} // wakes workers; tokens <= accepted jobs
-	stop      chan struct{}
-	stopOnce  sync.Once
+	// queue holds accepted jobs not yet taken by a worker, oldest first.
+	// Its capacity is the admission bound, and submit sends only below it,
+	// so a send never blocks.
+	queue     chan *job
+	closeOnce sync.Once
 	jobsWG    sync.WaitGroup // accepted jobs not yet finished
 	workersWG sync.WaitGroup
 
@@ -149,8 +133,7 @@ type serverInstruments struct {
 	requests                    *metrics.CounterVec // label: code
 	hits, misses, coalesced     *metrics.Counter
 	rejectedFull, rejectedDrain *metrics.Counter
-	runsSingle, runsBatched     *metrics.Counter
-	batchSize                   *metrics.Histogram
+	runs                        *metrics.Counter
 	runSeconds                  *metrics.Histogram
 	queueDepth, inflight        *metrics.Gauge
 	cacheEntries                *metrics.Gauge
@@ -166,8 +149,7 @@ func NewServer(opts Options) *Server {
 		reg:     opts.Registry,
 		cache:   newLRUCache(opts.CacheEntries),
 		flights: map[string]*job{},
-		kick:    make(chan struct{}, opts.Workers+opts.QueueDepth+1),
-		stop:    make(chan struct{}),
+		queue:   make(chan *job, opts.Workers+opts.QueueDepth),
 	}
 	r := s.reg
 	s.m = serverInstruments{
@@ -183,15 +165,10 @@ func NewServer(opts Options) *Server {
 			"Run requests refused by admission control.", "reason").With("queue-full"),
 		rejectedDrain: r.CounterVec("cpmserve_rejected_total",
 			"Run requests refused by admission control.", "reason").With("draining"),
-		runsSingle: r.CounterVec("cpmserve_runs_total",
-			"Simulation runs executed, by pick: scalar = alone, farm = batched with others.", "mode").With("scalar"),
-		runsBatched: r.CounterVec("cpmserve_runs_total",
-			"Simulation runs executed, by pick: scalar = alone, farm = batched with others.", "mode").With("farm"),
-		batchSize: r.HistogramVec("cpmserve_batch_size",
-			"Jobs admitted per worker pick.",
-			metrics.LinearBuckets(1, 1, 16)).With(),
+		runs: r.CounterVec("cpmserve_runs_total",
+			"Simulation runs executed.").With(),
 		runSeconds: r.HistogramVec("cpmserve_run_seconds",
-			"Wall-clock seconds per worker pick (one farm group).",
+			"Wall-clock seconds per simulation run.",
 			metrics.ExponentialBuckets(0.001, 2, 14)).With(),
 		queueDepth: r.GaugeVec("cpmserve_queue_depth",
 			"Jobs accepted and waiting for a worker.").With(),
@@ -279,15 +256,9 @@ func (s *Server) submit(req Request, sc check.Scenario) (*job, string, *submitEr
 	// name — a bounded label set, since only canonical scenarios are
 	// admitted.
 	sc.Metrics = s.reg
-	j := &job{
-		req:  req,
-		sc:   sc,
-		key:  key,
-		wkey: farm.KeyOf(sc.BuildConfig(req.Seed)),
-		done: make(chan struct{}),
-	}
+	j := &job{req: req, sc: sc, key: key, done: make(chan struct{})}
 	s.flights[key] = j
-	s.queue = append(s.queue, j)
+	s.queue <- j
 	s.outstanding++
 	s.stats.Misses++
 	s.m.misses.Inc()
@@ -295,82 +266,28 @@ func (s *Server) submit(req Request, sc check.Scenario) (*job, string, *submitEr
 	s.m.inflight.Set(float64(s.outstanding))
 	s.jobsWG.Add(1)
 	s.mu.Unlock()
-	select {
-	case s.kick <- struct{}{}:
-	default:
-		// Channel full means enough wake tokens are already pending; any
-		// woken worker drains the whole queue before sleeping again.
-	}
 	return j, outcomeMiss, nil
 }
 
-// takeBatch pops the oldest queued job plus up to BatchMax-1 younger jobs
-// sharing its farm workload key — the compatible set that can draw trace
-// records from one shared sampler. Returns nil when the queue is empty.
-func (s *Server) takeBatch() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return nil
-	}
-	head := s.queue[0]
-	batch := []*job{head}
-	rest := s.queue[:0]
-	for _, j := range s.queue[1:] {
-		if len(batch) < s.opts.BatchMax && j.wkey == head.wkey {
-			batch = append(batch, j)
-		} else {
-			rest = append(rest, j)
-		}
-	}
-	s.queue = rest
-	s.m.queueDepth.Set(float64(len(s.queue)))
-	return batch
-}
-
-// worker pulls batches off the queue until the server stops.
+// worker runs queued jobs, oldest first, until Close closes the queue.
 func (s *Server) worker() {
 	defer s.workersWG.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.kick:
-		}
-		for {
-			batch := s.takeBatch()
-			if batch == nil {
-				break
-			}
-			s.runBatch(batch)
-		}
-	}
-}
-
-// runBatch executes one worker pick — one job or several — as one farm
-// group and completes every job in it.
-func (s *Server) runBatch(batch []*job) {
-	if hook := s.opts.RunHook; hook != nil {
-		for _, j := range batch {
+	for j := range s.queue {
+		// Count the run before it can finish: a client holding its
+		// response must find its run in Stats.
+		s.mu.Lock()
+		s.stats.Runs++
+		s.m.queueDepth.Set(float64(len(s.queue)))
+		s.mu.Unlock()
+		s.m.runs.Inc()
+		if hook := s.opts.RunHook; hook != nil {
 			hook(j.req)
 		}
+		start := time.Now()
+		res, err := execute(j)
+		s.m.runSeconds.Observe(time.Since(start).Seconds())
+		s.finish(j, res, err)
 	}
-	// Count the batch before any job finishes: a client holding its
-	// response must find its run in Stats.
-	s.mu.Lock()
-	s.stats.Runs += uint64(len(batch))
-	runs := s.m.runsSingle
-	if len(batch) > 1 {
-		s.stats.FarmBatches++
-		s.stats.BatchedJobs += uint64(len(batch))
-		runs = s.m.runsBatched
-	}
-	s.mu.Unlock()
-	runs.Add(float64(len(batch)))
-	start := time.Now()
-	s.execute(batch)
-	s.m.runSeconds.Observe(time.Since(start).Seconds())
-	s.m.batchSize.Observe(float64(len(batch)))
 }
 
 // finish publishes a job's result, caches it, and releases the flight so
@@ -408,8 +325,10 @@ func (s *Server) Drain() {
 }
 
 // Close drains and then stops the workers. The server cannot be reused.
+// Draining refuses every later submission, so closing the queue races no
+// send.
 func (s *Server) Close() {
 	s.Drain()
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.closeOnce.Do(func() { close(s.queue) })
 	s.workersWG.Wait()
 }
