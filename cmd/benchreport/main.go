@@ -22,8 +22,8 @@ import (
 )
 
 // suite lists the benchmarks the report tracks: the cache microbenches, the
-// address-stream generator, the end-to-end interval kernel, and the fleet
-// rounds, unmanaged and managed.
+// address-stream generator, the end-to-end interval kernel, the fleet
+// rounds, unmanaged and managed, and one Mix-1 calibration.
 var suite = []struct {
 	key   string // JSON key
 	bench string // exact benchmark name
@@ -37,6 +37,7 @@ var suite = []struct {
 	{"fleet_round_64", "BenchmarkFleetFarm64", "."},
 	{"fleet_round_1024", "BenchmarkFleetFarm1024", "."},
 	{"fleet_managed_64", "BenchmarkFleetFarmManaged64", "."},
+	{"calibration_mix1", "BenchmarkCalibration", "."},
 }
 
 // fleets maps the fleet-round keys to their chip counts; the report derives

@@ -4,13 +4,14 @@
 // By default the sweep routes every point — the unmanaged baseline plus a
 // CPM and a MaxBIPS run per budget — through one internal/farm fleet: the
 // points share a workload identity, so they share one trace sampler and
-// each pays only its cheap frequency-dependent half. -resilient routes the
-// points through the crash-safe sweepd coordinator instead, -workers of
-// them at a time; both routes produce byte-identical CSV at any -workers
-// (results are emitted in budget order). Every point is a check.Scenario
-// built by its one constructor; the routes differ only in how the built
-// sessions are scheduled. Progress and ETA go to stderr; stdout carries
-// only the CSV.
+// each pays only its cheap frequency-dependent half, stepped on one worker.
+// -resilient routes the points through the crash-safe sweepd coordinator
+// instead, -workers of them at a time (-workers, like -kill-every and
+// -ckpt-every, is refused without -resilient). Both routes produce
+// byte-identical CSV, at any -workers on -resilient (results are emitted in
+// budget order). Every point is a check.Scenario built by its one
+// constructor; the routes differ only in how the built sessions are
+// scheduled. Progress and ETA go to stderr; stdout carries only the CSV.
 //
 // Usage:
 //
@@ -55,7 +56,7 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	seed := fs.Uint64("seed", 1, "simulation seed (non-zero)")
 	warm := fs.Int("warm", 6, "warm-up GPM epochs")
 	epochs := fs.Int("epochs", 16, "measured GPM epochs")
-	workers := fs.Int("workers", 0, "concurrent points with -resilient (0 = GOMAXPROCS); the default farm route steps every point in one sampler group")
+	workers := fs.Int("workers", 0, "concurrent points (requires -resilient; 0 = GOMAXPROCS); the default farm route steps every point in one sampler group on one worker")
 	checked := fs.Bool("check", false, "fail the sweep on any invariant violation (every run carries the invariant suite)")
 	warmstart := fs.Bool("warmstart", false, "warm the chip once unmanaged, snapshot it, and fork every budget point from the snapshot (skips per-point warm-up; trajectories differ slightly from the default per-point managed warm-up)")
 	resilient := fs.Bool("resilient", false, "route points through the crash-safe sweepd coordinator: workers checkpoint at interval boundaries and killed or panicked workers migrate their point to a survivor (identical CSV)")
@@ -83,8 +84,8 @@ func parseSweepCLI(argv []string, stderr io.Writer) (sweepOptions, error) {
 	if *ckptEvery < 0 {
 		return sweepOptions{}, fmt.Errorf("cpmsweep: -ckpt-every must be >= 0, got %d", *ckptEvery)
 	}
-	if !*resilient && (*killEvery > 0 || *ckptEvery > 0) {
-		return sweepOptions{}, fmt.Errorf("cpmsweep: -kill-every and -ckpt-every require -resilient")
+	if !*resilient && (*workers > 0 || *killEvery > 0 || *ckptEvery > 0) {
+		return sweepOptions{}, fmt.Errorf("cpmsweep: -workers, -kill-every and -ckpt-every require -resilient")
 	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {

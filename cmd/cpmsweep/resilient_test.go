@@ -106,6 +106,7 @@ func TestParseSweepCLIResilient(t *testing.T) {
 	}{
 		{"kill without resilient", []string{"-kill-every", "2"}, "require -resilient"},
 		{"ckpt without resilient", []string{"-ckpt-every", "5"}, "require -resilient"},
+		{"workers without resilient", []string{"-workers", "2"}, "-workers, -kill-every and -ckpt-every require -resilient"},
 		{"negative kill", []string{"-resilient", "-kill-every", "-1"}, "-kill-every must be >= 0"},
 		{"negative ckpt", []string{"-resilient", "-ckpt-every", "-1"}, "-ckpt-every must be >= 0"},
 	}

@@ -61,34 +61,53 @@ func (c Calibration) RecommendedExponent() float64 {
 }
 
 // Calibrate performs the offline identification for the chip described by
-// cfg: first an unmanaged run at the top operating point (warm + measure
-// intervals), then a white-noise DVFS run of the same length during which
-// per-island (utilization, power) pairs and (Δpower, Δfrequency) pairs are
-// collected and fitted.
+// cfg: an unmanaged run at the top operating point (warm + measure
+// intervals) and a white-noise DVFS run (warm intervals, then
+// max(measure/8, 2) held windows of 8) during which per-island (utilization,
+// power) pairs and (Δpower, Δfrequency) pairs are collected and fitted.
+//
+// Records do not depend on the operating point, so both runs are chips over
+// one sampler stepped in lockstep: each interval the baseline samples and
+// the white-noise chip reads the cached batch. Whichever run is longer
+// steps on alone once the other is done.
 func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 	if warm < 0 || measure < 2 {
 		return Calibration{}, errors.New("core: need at least two measurement intervals")
 	}
 
-	// Unmanaged baseline.
 	cfg.InitialLevel = -1
-	cmp, err := sim.New(cfg)
+	src, err := sim.NewSampler(cfg)
 	if err != nil {
 		return Calibration{}, err
 	}
-	cal := Calibration{}
-	for k := 0; k < warm; k++ {
-		cmp.Step()
+	base, err := sim.NewWithRecords(cfg, src)
+	if err != nil {
+		return Calibration{}, err
 	}
-	for k := 0; k < measure; k++ {
-		r := cmp.Step()
-		cal.UnmanagedPowerW += r.ChipPowerW
-		cal.UnmanagedBIPS += r.TotalBIPS
+	cmp, err := sim.NewWithRecords(cfg, src)
+	if err != nil {
+		return Calibration{}, err
 	}
-	cal.UnmanagedPowerW /= float64(measure)
-	cal.UnmanagedBIPS /= float64(measure)
 
-	// White-noise DVFS run on a fresh instance of the same chip. Each
+	// Unmanaged baseline: stepBase advances it one interval until it has
+	// run warm + measure, summing power and BIPS over the measured ones in
+	// interval order. It is called before every white-noise step, so it
+	// always asks the sampler for the fresh interval.
+	cal := Calibration{}
+	baseLeft := warm + measure
+	stepBase := func() {
+		if baseLeft == 0 {
+			return
+		}
+		r := base.Step()
+		if baseLeft <= measure {
+			cal.UnmanagedPowerW += r.ChipPowerW
+			cal.UnmanagedBIPS += r.TotalBIPS
+		}
+		baseLeft--
+	}
+
+	// White-noise DVFS run on the second chip, fed the baseline's records. Each
 	// random level is *held* for a short measurement window and the window
 	// mean forms one calibration sample: per-interval workload phase noise
 	// perturbs utilization much more than power, and fitting on raw
@@ -105,10 +124,6 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 		// keeps the estimate unbiased where it is actually used.
 		minLevel = 2
 	)
-	cmp, err = sim.New(cfg)
-	if err != nil {
-		return Calibration{}, err
-	}
 	n := cmp.NumIslands()
 	rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 0xca11b))
 	utils := make([][]float64, n)
@@ -120,6 +135,7 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 	havePrev := false
 
 	for k := 0; k < warm; k++ {
+		stepBase()
 		cmp.Step()
 	}
 	windows := measure / holdIntervals
@@ -157,6 +173,7 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 		}
 		var norm []float64
 		for k := 0; k < holdIntervals; k++ {
+			stepBase()
 			r := cmp.Step()
 			if k < settle {
 				continue
@@ -190,6 +207,11 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 		}
 		havePrev = true
 	}
+	for baseLeft > 0 {
+		stepBase()
+	}
+	cal.UnmanagedPowerW /= float64(measure)
+	cal.UnmanagedBIPS /= float64(measure)
 
 	for i := 0; i < n; i++ {
 		lin, r2, err := sensor.FitTransducer(utils[i], fracs[i])

@@ -18,7 +18,8 @@ import (
 // sharing the sampler's workload identity (seed, mix, core and cache
 // configuration — see farm.WorkloadKey) can be driven from one Sampler
 // through NewWithRecords, paying the expensive sampling work (>95% of a
-// step) once per interval instead of once per chip.
+// step) once per interval instead of once per chip. A farm group shares
+// one this way, and so do core.Calibrate's unmanaged and white-noise chips.
 //
 // The memory system, thermal, variation and DVFS parts of cfg are ignored —
 // they belong to the compute half. With cfg.Parallel set, each island is
