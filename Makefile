@@ -63,11 +63,13 @@ fuzz-smoke:
 	$(GO) test ./internal/sweepd -fuzz FuzzCheckpointRestore -fuzztime 10s
 	$(GO) test ./internal/sim -fuzz FuzzChipSnapshotV3Restore -fuzztime 10s
 
-# Fleet throughput benchmark: chips/sec of the 64- and 1024-chip farms vs
-# the aggregate-scalar reference, and of the 64-chip managed fleet
-# (informational; `make bench` pins the numbers into $(BENCH_OUT)).
+# Fleet throughput benchmark: chips/sec of the 64- and 1024-chip lockstep
+# rounds vs the aggregate-scalar reference, of the 64-chip managed fleet,
+# and ns/chip-interval of a whole 512-member managed Farm.Run (informational;
+# `make bench` pins the numbers into $(BENCH_OUT)).
 fleet-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetFarm' -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFarmRun512$$' -benchtime 3x .
 
 # Self-driven smoke of the daemon: 100 requests through a real listener
 # cycling scenarios, seeds and both response modes, with the /metrics

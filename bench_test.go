@@ -19,6 +19,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/control"
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/experiments"
+	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/maxbips"
 	"github.com/cpm-sim/cpm/internal/noc"
@@ -464,4 +465,43 @@ func BenchmarkFleetFarmManaged64(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchRounds(b, fr, nChips)
+}
+
+// BenchmarkFarmRun512 times the route a swept or served fleet takes
+// through the farm: 512 managed Mix-1 members (perfbench's group size),
+// kinds and budgets as in BenchmarkFleetFarmManaged64 with a golden
+// recorder each, built by farm.New outside the timer, then one Farm.Run of
+// 6 warm-up and 16 measured epochs. One op is one whole run; the round
+// benches above stay the lockstep reference.
+func BenchmarkFarmRun512(b *testing.B) {
+	const nChips, seed, warm, meas = 512, 1, 6, 16
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		specs := make([]farm.ChipSpec, nChips)
+		for j := range specs {
+			sc, err := check.ScenarioByName(managedFleetKinds[j%len(managedFleetKinds)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc.BudgetFrac = 0.5 + 0.45*float64(j+1)/nChips
+			sc.WarmEpochs, sc.MeasureEpochs = warm, meas
+			specs[j] = farm.ChipSpec{
+				Config: sc.BuildConfig(seed),
+				NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+					sess, _, err := sc.BuildOn(cmp, seed, check.NewGolden(sc.Name))
+					return sess, err
+				},
+			}
+		}
+		f, err := farm.New(specs, farm.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := f.Run(engine.Pool{Workers: 1}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perChip := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / (nChips * (warm + meas) * 20)
+	b.ReportMetric(perChip, "ns/chip-interval")
 }

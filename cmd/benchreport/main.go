@@ -23,7 +23,8 @@ import (
 
 // suite lists the benchmarks the report tracks: the cache microbenches, the
 // address-stream generator, the end-to-end interval kernel, the fleet
-// rounds, unmanaged and managed, and one Mix-1 calibration.
+// rounds, unmanaged and managed, one 512-member managed Farm.Run and one
+// Mix-1 calibration.
 var suite = []struct {
 	key   string // JSON key
 	bench string // exact benchmark name
@@ -37,6 +38,7 @@ var suite = []struct {
 	{"fleet_round_64", "BenchmarkFleetFarm64", "."},
 	{"fleet_round_1024", "BenchmarkFleetFarm1024", "."},
 	{"fleet_managed_64", "BenchmarkFleetFarmManaged64", "."},
+	{"farm_run_512", "BenchmarkFarmRun512", "."},
 	{"calibration_mix1", "BenchmarkCalibration", "."},
 }
 

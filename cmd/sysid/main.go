@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	sysid [-mix mix1|mix2|mix3|thermal] [-seed N] [-windows N]
+//	sysid [-mix mix1|mix2|mix3|thermal] [-seed N] [-measure N]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/cpm-sim/cpm/internal/control"
@@ -22,28 +24,60 @@ import (
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
-func main() {
-	mixName := flag.String("mix", "mix1", "application mix: mix1, mix2, mix3, mix3x2, thermal")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	measure := flag.Int("measure", 240, "measurement intervals per phase")
-	flag.Parse()
+// minMeasure is the smallest -measure with at least three white-noise
+// windows of 8 intervals. With two, each linear transducer fit passes
+// through its two points (R² = 1) and each level-aware slope is 0.
+const minMeasure = 24
 
+// cli is the parsed, validated command line.
+type cli struct {
+	mix     workload.Mix
+	seed    uint64
+	measure int
+}
+
+// parseCLI parses and validates the flags; every reject path is an error,
+// so the validation is testable.
+func parseCLI(args []string, stderr io.Writer) (cli, error) {
+	fs := flag.NewFlagSet("sysid", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mixName := fs.String("mix", "mix1", "application mix: mix1, mix2, mix3, mix3x2, thermal")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	measure := fs.Int("measure", 240, fmt.Sprintf(
+		"measurement intervals per phase (at least %d); the white-noise run has max(measure/8, 2) windows of 8 intervals", minMeasure))
+	if err := fs.Parse(args); err != nil {
+		return cli{}, err
+	}
+	if *measure < minMeasure {
+		return cli{}, fmt.Errorf("-measure %d is below %d: the white-noise run needs three 8-interval windows for a meaningful fit", *measure, minMeasure)
+	}
 	mix, err := workload.MixByName(*mixName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		return cli{}, err
+	}
+	return cli{mix: mix, seed: *seed, measure: *measure}, nil
+}
+
+func main() {
+	c, err := parseCLI(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sysid:", err)
 		os.Exit(2)
 	}
-	cfg := sim.DefaultConfig(mix)
-	cfg.Seed = *seed
+	cfg := sim.DefaultConfig(c.mix)
+	cfg.Seed = c.seed
 	cfg.Parallel = true
 
-	cal, err := core.Calibrate(cfg, 60, *measure)
+	cal, err := core.Calibrate(cfg, 60, c.measure)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sysid:", err)
 		os.Exit(1)
 	}
 
-	fmt.Printf("System identification for %s (seed %d)\n\n", mix.Name, *seed)
+	fmt.Printf("System identification for %s (seed %d)\n\n", c.mix.Name, c.seed)
 	fmt.Printf("Unmanaged chip demand : %.1f W (the 'required power' §IV budgets are fractions of)\n", cal.UnmanagedPowerW)
 	fmt.Printf("Unmanaged throughput  : %.2f BIPS\n", cal.UnmanagedBIPS)
 	fmt.Printf("Plant gain a          : %.3f island-power-fraction per normalized-frequency step (paper: 0.79)\n\n", cal.PlantGain)

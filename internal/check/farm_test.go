@@ -1,12 +1,18 @@
 package check
 
 import (
+	"bytes"
+	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/farm"
+	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/snapshot"
 )
 
 // farmSpecs builds one farm ChipSpec per scenario at the given seed,
@@ -165,4 +171,152 @@ func TestFarmReplicatedDistinctSeeds(t *testing.T) {
 	if err := goldens[0].Trace().Diff(loadRef(t, sc.Name)); err != nil {
 		t.Errorf("seed-1 farm chip diverged from the stored golden: %v", err)
 	}
+}
+
+// windowMember is one member of a windowed farm group under test: a
+// scenario, with a telemetry registry of its own, and its golden recorder.
+type windowMember struct {
+	sc     Scenario
+	golden *Golden
+}
+
+// newWindowMember returns sc with the given windows and budget, its
+// telemetry observer wired to a registry of its own.
+func newWindowMember(t *testing.T, name string, frac float64, warm, meas int) windowMember {
+	t.Helper()
+	sc, err := ScenarioByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.BudgetFrac, sc.WarmEpochs, sc.MeasureEpochs = frac, warm, meas
+	sc.Metrics = metrics.NewRegistry()
+	return windowMember{sc: sc, golden: NewGolden(sc.Name)}
+}
+
+// cacheSamples returns the cpm_cache_* lines of a registry's exposition.
+func cacheSamples(t *testing.T, reg *metrics.Registry) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "cpm_cache_") {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// runWindowGroup runs the members as one farm group (resuming
+// samplerState when non-nil) and compares every member against its scalar
+// run, which forks from scalarWarm: the golden trace and every cpm_cache_*
+// sample must be identical.
+func runWindowGroup(t *testing.T, members []windowMember, samplerState, scalarWarm []byte) {
+	t.Helper()
+	specs := make([]farm.ChipSpec, len(members))
+	for i, m := range members {
+		m := m
+		specs[i] = farm.ChipSpec{
+			Config: m.sc.BuildConfig(goldenSeed),
+			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+				sess, _, err := m.sc.BuildOn(cmp, goldenSeed, m.golden)
+				return sess, err
+			},
+		}
+	}
+	f, err := farm.New(specs, farm.Options{SamplerState: samplerState})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumGroups() != 1 {
+		t.Fatalf("%d members built %d groups, want one", len(members), f.NumGroups())
+	}
+	if _, err := f.Run(engine.Pool{Workers: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range members {
+		ref := newWindowMember(t, m.sc.Name, m.sc.BudgetFrac, m.sc.WarmEpochs, m.sc.MeasureEpochs)
+		ref.sc.WarmState = scalarWarm
+		sess, _, err := ref.sc.Build(goldenSeed, ref.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Run()
+		what := fmt.Sprintf("%s at %.2f, %d+%d epochs", m.sc.Name, m.sc.BudgetFrac, m.sc.WarmEpochs, m.sc.MeasureEpochs)
+		if err := m.golden.Trace().Diff(ref.golden.Trace()); err != nil {
+			t.Errorf("%s: farm member diverged from its scalar run: %v", what, err)
+		}
+		got, want := cacheSamples(t, m.sc.Metrics), cacheSamples(t, ref.sc.Metrics)
+		if len(want) == 0 {
+			t.Fatalf("%s: the scalar run exported no cache samples", what)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: farm cache telemetry differs from the scalar run:\nfarm   %q\nscalar %q", what, got, want)
+		}
+	}
+}
+
+// TestFarmWindowedGroupMatchesScalar runs one farm group whose members end
+// mid-window — the canonical 2 + 4 epochs and a sweep's 6 + 16, neither a
+// multiple of the group's record-log window — with cache-aware members and
+// the telemetry observer on every member. A member reading its cache
+// counters at the wrong interval diverges in its golden trace only through
+// the cache-aware policy, but in its cache telemetry on every member.
+func TestFarmWindowedGroupMatchesScalar(t *testing.T) {
+	runWindowGroup(t, []windowMember{
+		newWindowMember(t, "cpm-default", 0.8, 2, 4),
+		newWindowMember(t, "cache-aware", 0.7, 2, 4),
+		newWindowMember(t, "cache-aware", 0.6, 6, 16),
+		newWindowMember(t, "maxbips", 0.8, 6, 16),
+		newWindowMember(t, "variation-aware", 0.8, 2, 4),
+		newWindowMember(t, "mpc-gpm", 0.9, 6, 16),
+	}, nil, nil)
+}
+
+// TestFarmWindowedWarmStartMatchesScalar is the warm-started twin: the
+// group resumes a sampler snapshot taken after 6 epochs of lockstep
+// warm-up, so its record log starts mid-stream with the restored
+// sampler's counters, and each member forks from the warm chip. The
+// scalar side forks from a sim.New chip warmed as long.
+func TestFarmWindowedWarmStartMatchesScalar(t *testing.T) {
+	const warmIntervals = 6 * 20
+	members := []windowMember{
+		newWindowMember(t, "cpm-default", 0.8, 0, 4),
+		newWindowMember(t, "cache-aware", 0.7, 0, 16),
+		newWindowMember(t, "cache-aware", 0.6, 0, 4),
+		newWindowMember(t, "maxbips", 0.8, 0, 16),
+	}
+	cfg := members[0].sc.BuildConfig(goldenSeed)
+	sampler, err := sim.NewSampler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := sim.NewWithRecords(cfg, sampler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.SetCacheStatsSource(sampler.CacheStats)
+	shared.SetIslandCacheStatsSource(sampler.IslandCacheStats)
+	scalar, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < warmIntervals; k++ {
+		shared.Step()
+		scalar.Step()
+	}
+	state := func(snap func(*snapshot.Encoder) error) []byte {
+		e := snapshot.NewEncoder()
+		if err := snap(e); err != nil {
+			t.Fatal(err)
+		}
+		return e.Bytes()
+	}
+	for i := range members {
+		members[i].sc.WarmState = state(shared.Snapshot)
+	}
+	samplerState := state(func(e *snapshot.Encoder) error { sampler.Snapshot(e); return nil })
+	runWindowGroup(t, members, samplerState, state(scalar.Snapshot))
 }

@@ -100,7 +100,8 @@ type CPM struct {
 	// Cache-signal plumbing, active only when the policy chain asks for it
 	// (gpm.WantsCacheSignals): curCache latches the cumulative per-island
 	// cache counters right after each chip step — the one point where every
-	// farm group member observes the shared sampler at the same position —
+	// chip sharing a sampler in lockstep observes it at the same position,
+	// and the interval a chip over a record log reads its counters at —
 	// and prevCache holds the latch from the last GPM invocation so the
 	// next one observes epoch deltas.
 	wantCache bool
@@ -270,10 +271,10 @@ func (c *CPM) Step() StepResult {
 	}
 	if c.wantCache {
 		// Latch cumulative counters now, not lazily at the next GPM
-		// boundary: in a farm group the shared sampler advances once per
-		// lockstep round, and immediately after a member's own step is the
-		// one moment its position is the same for every member (and for
-		// the scalar path) — see the struct comment.
+		// boundary: a sampler shared in lockstep advances once per round,
+		// and immediately after a member's own step is the one moment its
+		// position is the same for every member (and for the scalar path)
+		// — see the struct comment.
 		for i := range c.curCache {
 			c.curCache[i] = c.cmp.IslandCacheStats(i)
 		}

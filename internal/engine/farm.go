@@ -1,15 +1,20 @@
 package engine
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
-// FarmRunner drives a set of sessions in lockstep rounds: every round steps
-// each unfinished session exactly one interval, in session order. This is
-// the driving discipline record-driven chips (sim.NewWithRecords) require —
-// all chips sharing a sampler consume the same interval's record batch
-// before any chip moves to the next — and it bounds the sampler's buffering
-// to a single batch regardless of fleet size. Sessions may have different
-// interval budgets; a session that exhausts its budget simply drops out of
-// later rounds.
+// FarmRunner drives a set of sessions in passes: every pass steps each
+// unfinished session, in session order, up to a window of intervals before
+// the next session moves. A window of one is the lockstep round that chips
+// sharing a bare sim.Sampler require — all of them consume the same
+// interval's batch before any moves on, which bounds the sampler's
+// buffering to one batch regardless of fleet size. Chips sharing a
+// sim.RecordLog may be up to its window apart, so they step in passes of
+// that window (RunWindows), each chip's state staying in the host's caches
+// across its window. Sessions may have different interval budgets; a
+// session that exhausts its budget simply drops out of later passes.
 //
 // A FarmRunner is single-use and not safe for concurrent use. Shard
 // independent farms (separate samplers) across a Pool instead.
@@ -38,12 +43,17 @@ func NewFarmRunner(sessions []*Session) (*FarmRunner, error) {
 
 // StepRound advances every unfinished session one interval and returns the
 // number still unfinished.
-func (f *FarmRunner) StepRound() int {
+func (f *FarmRunner) StepRound() int { return f.pass(1) }
+
+// pass advances every unfinished session up to w intervals, one session at
+// a time, and returns the number still unfinished. A session that steps
+// fewer than w has exhausted its budget.
+func (f *FarmRunner) pass(w int) int {
 	for i, s := range f.sessions {
 		if f.done[i] {
 			continue
 		}
-		if s.RunIntervals(1) == 0 {
+		if s.RunIntervals(w) < w {
 			f.done[i] = true
 			f.active--
 		}
@@ -51,17 +61,27 @@ func (f *FarmRunner) StepRound() int {
 	return f.active
 }
 
-// Run steps rounds until every session's interval budget is exhausted,
-// then finishes each session and returns the summaries in session order.
-// onRound, when non-nil, is invoked after every round with the number of
-// sessions completed so far and the total — the progress feed for
-// fleet-scale CLIs.
+// Run steps lockstep rounds until every session's interval budget is
+// exhausted, then finishes each session and returns the summaries in
+// session order. onRound, when non-nil, is invoked after every round with
+// the number of sessions completed so far and the total — the progress
+// feed for fleet-scale CLIs.
 func (f *FarmRunner) Run(onRound func(completed, total int)) []Summary {
+	return f.RunWindows(1, onRound)
+}
+
+// RunWindows is Run in passes of w intervals per session; onPass is
+// invoked after every pass. The sessions' sources must serve intervals w
+// apart (a sim.RecordLog of window at least w).
+func (f *FarmRunner) RunWindows(w int, onPass func(completed, total int)) []Summary {
+	if w < 1 {
+		panic(fmt.Sprintf("engine: farm window %d", w))
+	}
 	n := len(f.sessions)
 	for f.active > 0 {
-		f.StepRound()
-		if onRound != nil {
-			onRound(n-f.active, n)
+		f.pass(w)
+		if onPass != nil {
+			onPass(n-f.active, n)
 		}
 	}
 	out := make([]Summary, n)

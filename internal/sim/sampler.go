@@ -18,8 +18,10 @@ import (
 // sharing the sampler's workload identity (seed, mix, core and cache
 // configuration — see farm.WorkloadKey) can be driven from one Sampler
 // through NewWithRecords, paying the expensive sampling work (>95% of a
-// step) once per interval instead of once per chip. A farm group shares
-// one this way, and so do core.Calibrate's unmanaged and white-noise chips.
+// step) once per interval instead of once per chip. core.Calibrate's
+// unmanaged and white-noise chips share one this way, in lockstep; a farm
+// group shares one through a RecordLog, which lets its members step a
+// window of intervals apart.
 //
 // The memory system, thermal, variation and DVFS parts of cfg are ignored —
 // they belong to the compute half. With cfg.Parallel set, each island is
@@ -115,8 +117,8 @@ func (s *Sampler) Cursor() int { return s.cursor }
 
 // Records implements RecordSource: asking for the cursor interval samples
 // a fresh batch and advances; asking for the interval just sampled returns
-// the cached batch (the sharing path — every chip of a group steps the
-// same interval). Anything else panics: a chip has fallen out of lockstep
+// the cached batch (the sharing path — every chip sharing the sampler in
+// lockstep steps the same interval). Anything else panics: a chip has fallen out of lockstep
 // with its sampler, and continuing would silently corrupt every sharing
 // chip's workload stream.
 func (s *Sampler) Records(k int) []uarch.TraceRecord {
@@ -148,9 +150,9 @@ func (s *Sampler) Records(k int) []uarch.TraceRecord {
 }
 
 // CacheStats aggregates the sampler's cumulative cache counters: summed
-// over cores, shared L2s counted once per island. Chips read them through
-// CMP.SetCacheStatsSource (all chips of a farm group share these
-// counters).
+// over cores, shared L2s counted once per island. Chips sharing the
+// sampler in lockstep read them through CMP.SetCacheStatsSource; chips
+// over a RecordLog read the log's copy taken at their interval.
 func (s *Sampler) CacheStats() CacheStats {
 	var out CacheStats
 	for _, isl := range s.islands {
@@ -186,7 +188,7 @@ func (s *Sampler) IslandCacheStats(i int) CacheStats {
 // Snapshot appends the sampler's complete dynamic state: the cursor and
 // per island its shared L2 (once, when shared) and per-core generator and
 // cache state. The cached record batch is not captured — snapshots are
-// taken between steps (between farm rounds for a shared sampler), when
+// taken between steps (between lockstep rounds for a shared sampler), when
 // every chip has consumed it and the next request advances the cursor.
 func (s *Sampler) Snapshot(e *snapshot.Encoder) {
 	e.Tag(snapshot.TagSampler)

@@ -162,11 +162,12 @@ func (r Result) Clone() Result {
 // a chip's Step. The returned slice is indexed by global core ID and must
 // stay valid until the next Records call.
 //
-// The contract is lockstep: consumers ask for interval k only when the
-// source's cursor is at k (which advances it) or at k+1 (which returns the
+// A Sampler's contract is lockstep: consumers ask for interval k only when
+// its cursor is at k (which advances it) or at k+1 (which returns the
 // cached batch, so several chips sharing one source can each step interval
-// k). A Sampler panics on out-of-order access — it means chips sharing it
-// have diverged, which would silently corrupt every chip's workload
+// k). A RecordLog over a sampler relaxes this to any interval in its
+// window. Both panic on any other access — it means chips sharing the
+// source have diverged, which would silently corrupt every chip's workload
 // stream.
 type RecordSource interface {
 	Records(k int) []uarch.TraceRecord
@@ -258,9 +259,10 @@ func New(cfg Config) (*CMP, error) {
 // feedback, process variation — remains per-chip, so a chip fed the
 // records New(cfg) would have sampled is bit-identical to it while costing
 // a few KB and a few µs per interval instead of a few hundred KB and ~100µs
-// per core. The source is not part of the chip's snapshot, and the chip
-// reports zero cache statistics until its owner installs a source
-// (SetCacheStatsSource).
+// per core. The source is not part of the chip's snapshot. A chip over a
+// RecordLog reads its cache statistics from the log at the interval it
+// last stepped; over any other source it reports zeros until its owner
+// installs a statistics source (SetCacheStatsSource).
 func NewWithRecords(cfg Config, src RecordSource) (*CMP, error) {
 	if src == nil {
 		return nil, errors.New("sim: NewWithRecords needs a record source")
@@ -270,6 +272,10 @@ func NewWithRecords(cfg Config, src RecordSource) (*CMP, error) {
 		return nil, err
 	}
 	c.src = src
+	if l, ok := src.(*RecordLog); ok {
+		c.SetCacheStatsSource(func() CacheStats { return l.CacheStats(c.interval) })
+		c.SetIslandCacheStatsSource(func(i int) CacheStats { return l.IslandCacheStats(c.interval, i) })
+	}
 	return c, nil
 }
 
