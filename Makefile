@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 20s
 
-.PHONY: build test race vet fmt-check bench bench-sweep sweep fuzz fuzz-smoke cover golden telemetry fleet-bench serve-smoke resilience-smoke scorecard all
+.PHONY: build test race vet fmt-check bench bench-sweep sweep fuzz fuzz-smoke cover golden telemetry fleet-bench serve-smoke resilience-smoke scorecard loc all
 
 # Output of `make bench` (see EXPERIMENTS.md). The checked-in BENCH_PR*.json
 # files are curated records; pass BENCH_OUT=BENCH_PR<n>.json to write one.
@@ -93,6 +93,13 @@ resilience-smoke: build
 # scorecard-csv/ (ci.yml uploads them as an informational artifact).
 scorecard: build
 	$(GO) run ./cmd/cpmsim -csv scorecard-csv run scorecard
+
+# Non-test and test Go line counts, perfbench (and its build directory)
+# excluded: the net line count each change reports in CHANGES.md.
+GO_FILES = find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Regenerate the golden traces after an intentional behaviour change.
 golden:

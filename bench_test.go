@@ -21,9 +21,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/experiments"
 	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/gpm"
-	"github.com/cpm-sim/cpm/internal/maxbips"
 	"github.com/cpm-sim/cpm/internal/noc"
-	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/workload"
@@ -256,32 +254,6 @@ func BenchmarkPolynomialRoots(b *testing.B) {
 	}
 }
 
-func BenchmarkMaxBIPSExhaustive4(b *testing.B) {
-	benchMaxBIPSPlan(b, 4)
-}
-
-func BenchmarkMaxBIPSDP16(b *testing.B) {
-	benchMaxBIPSPlan(b, 16)
-}
-
-func benchMaxBIPSPlan(b *testing.B, islands int) {
-	pl, err := maxbips.New(powerTable(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := make([]maxbips.IslandObs, islands)
-	for i := range obs {
-		obs[i] = maxbips.IslandObs{Level: 7, PowerW: 15 + float64(i%5), BIPS: 2 + float64(i%3)}
-	}
-	budget := float64(islands) * 13
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := pl.Choose(budget, obs); len(got) != islands {
-			b.Fatal("bad plan")
-		}
-	}
-}
-
 func BenchmarkCalibration(b *testing.B) {
 	cfg := cpm.DefaultConfig(cpm.Mix1())
 	cfg.Parallel = true
@@ -291,11 +263,6 @@ func BenchmarkCalibration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func powerTable(b *testing.B) *power.DVFSTable {
-	b.Helper()
-	return power.PentiumM()
 }
 
 func BenchmarkExt1EnergyPolicy(b *testing.B) {

@@ -392,9 +392,6 @@ func warmStart(pts []check.Scenario, seed uint64, shared bool) (samplerState []b
 		if err != nil {
 			return nil, err
 		}
-		if shared {
-			chips[i].SetCacheStatsSource(sampler.CacheStats)
-		}
 	}
 	for k := 0; k < pts[0].WarmEpochs*20; k++ {
 		for _, c := range chips {

@@ -209,11 +209,8 @@ func (s *Suite) Report() string {
 // Config parameterizes the standard suite. ForChip fills it from a live
 // simulator instance; zero fields disable the checks that need them.
 type Config struct {
-	// Table is the DVFS table every actuated operating point must belong
-	// to; nil disables DVFSLegality.
-	Table *power.DVFSTable
-	// Tables are per-island DVFS tables for heterogeneous chips; when set
-	// they override Table and island i is judged against Tables[i].
+	// Tables are the per-island DVFS tables: every operating point island
+	// i actuates must belong to Tables[i]. nil disables DVFSLegality.
 	Tables []*power.DVFSTable
 	// BudgetW is the chip power budget; 0 disables BudgetConservation.
 	BudgetW float64
@@ -230,11 +227,6 @@ type Config struct {
 	// MaxCorePowerW is the largest per-core dissipation the thermal
 	// envelope assumes; 0 disables ThermalEnvelope.
 	MaxCorePowerW float64
-	// SettleEpochs is the number of initial measured epochs the budget
-	// check skips — the paper's own settling transient (≤ 6 PIC
-	// invocations per §II-D, well under one epoch, but GPM reallocation
-	// needs a few epochs to converge). Default 3.
-	SettleEpochs int
 	// BudgetTolFrac is the chip-level relative overshoot tolerance
 	// (default 0.05: the worst post-settle epoch may exceed the budget by
 	// 5%, looser than the paper's steady-state claim but tight enough to
@@ -247,15 +239,11 @@ type Config struct {
 	IslandTolFrac float64
 }
 
-func (c Config) settleEpochs() int {
-	if c.SettleEpochs == 0 {
-		return 3
-	}
-	if c.SettleEpochs < 0 {
-		return 0
-	}
-	return c.SettleEpochs
-}
+// settleEpochs is the number of initial measured epochs the budget check
+// skips — the paper's own settling transient (≤ 6 PIC invocations per
+// §II-D, well under one epoch, but GPM reallocation needs a few epochs to
+// converge).
+const settleEpochs = 3
 
 func (c Config) budgetTol() float64 {
 	if c.BudgetTolFrac <= 0 {
@@ -282,9 +270,7 @@ func All(cfg Config) *Suite {
 		s.Add(NewBudgetConservation(cfg))
 	}
 	if cfg.Tables != nil {
-		s.Add(NewDVFSLegalityPerIsland(cfg.Tables))
-	} else if cfg.Table != nil {
-		s.Add(NewDVFSLegality(cfg.Table))
+		s.Add(NewDVFSLegality(cfg.Tables))
 	}
 	if cfg.MaxCorePowerW > 0 {
 		s.Add(NewThermalEnvelope(cfg.Thermal, cfg.MaxCorePowerW))

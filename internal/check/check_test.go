@@ -41,6 +41,11 @@ func runInfo() engine.RunInfo {
 	return engine.RunInfo{Islands: 2, Cores: 4, Period: 20, MeasureIntervals: 40, IntervalSec: 0.002}
 }
 
+// pentiumMTables are runInfo's two islands' DVFS tables.
+func pentiumMTables() []*power.DVFSTable {
+	return []*power.DVFSTable{power.PentiumM(), power.PentiumM()}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Check: "budget-conservation", Interval: 3, Epoch: -1, Island: 1,
 		Observed: 12.5, Bound: 10, Msg: "over budget"}
@@ -99,7 +104,7 @@ func TestAllGatesOnConfig(t *testing.T) {
 	if !minimal["accounting"] {
 		t.Errorf("zero config missing unconditional checks: %v", minimal)
 	}
-	full := names(All(Config{Table: power.PentiumM(), BudgetW: 50, MaxCorePowerW: 12, Thermal: thermal.DefaultConfig()}))
+	full := names(All(Config{Tables: pentiumMTables(), BudgetW: 50, MaxCorePowerW: 12, Thermal: thermal.DefaultConfig()}))
 	for _, n := range []string{"budget-conservation", "dvfs-legality", "thermal-envelope", "accounting"} {
 		if !full[n] {
 			t.Errorf("full config missing %s: %v", n, full)
@@ -154,7 +159,7 @@ func TestBudgetConservation(t *testing.T) {
 }
 
 func TestDVFSLegality(t *testing.T) {
-	c := NewDVFSLegality(power.PentiumM())
+	c := NewDVFSLegality(pentiumMTables())
 	c.RunStart(runInfo())
 	c.ObserveStep(step(0))
 	if len(c.Violations()) != 0 {
@@ -180,7 +185,7 @@ func TestDVFSLegality(t *testing.T) {
 	n = len(c.Violations())
 
 	// Frequency change without the transition flag.
-	c2 := NewDVFSLegality(power.PentiumM())
+	c2 := NewDVFSLegality(pentiumMTables())
 	c2.RunStart(runInfo())
 	c2.ObserveStep(step(0))
 	moved := step(1)
@@ -199,7 +204,7 @@ func TestDVFSLegality(t *testing.T) {
 	}
 
 	// Same change with the flag set is legal.
-	c3 := NewDVFSLegality(power.PentiumM())
+	c3 := NewDVFSLegality(pentiumMTables())
 	c3.RunStart(runInfo())
 	c3.ObserveStep(step(0))
 	moved.Sim.Islands[0].Transitioned = true

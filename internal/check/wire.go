@@ -7,35 +7,25 @@ import (
 	"github.com/cpm-sim/cpm/internal/sim"
 )
 
-// ForChip derives a Config from a live simulator instance: DVFS table,
-// per-island and chip maxima, thermal envelope parameters. budgetW of 0
-// configures an unmanaged run (no budget check).
+// ForChip derives a Config from a live simulator instance: per-island DVFS
+// tables and maxima, the chip maximum and the thermal envelope parameters,
+// which bound the hottest core class. budgetW of 0 configures an unmanaged
+// run (no budget check).
 func ForChip(cmp *sim.CMP, budgetW float64) Config {
 	n := cmp.NumIslands()
-	islandMax := make([]float64, n)
-	for i := 0; i < n; i++ {
-		islandMax[i] = cmp.IslandMaxPowerW(i)
-	}
 	cfg := Config{
+		Tables:        make([]*power.DVFSTable, n),
 		BudgetW:       budgetW,
-		IslandMaxW:    islandMax,
+		IslandMaxW:    make([]float64, n),
 		MaxChipPowerW: cmp.MaxChipPowerW(),
 		Thermal:       cmp.Thermals().Config(),
 	}
-	if cmp.Heterogeneous() {
-		// Per-island legality tables; the thermal envelope bounds the
-		// hottest core class.
-		tables := make([]*power.DVFSTable, n)
-		for i := 0; i < n; i++ {
-			tables[i] = cmp.IslandTable(i)
-			if w := cmp.IslandModel(i).CoreMaxPower(); w > cfg.MaxCorePowerW {
-				cfg.MaxCorePowerW = w
-			}
+	for i := 0; i < n; i++ {
+		cfg.Tables[i] = cmp.IslandTable(i)
+		cfg.IslandMaxW[i] = cmp.IslandMaxPowerW(i)
+		if w := cmp.IslandModel(i).CoreMaxPower(); w > cfg.MaxCorePowerW {
+			cfg.MaxCorePowerW = w
 		}
-		cfg.Tables = tables
-	} else {
-		cfg.Table = cmp.Table()
-		cfg.MaxCorePowerW = cmp.Model().CoreMaxPower()
 	}
 	return cfg
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // MaxBIPSRunner drives the MaxBIPS baseline: every period intervals the
-// planner picks the level combination maximizing predicted BIPS under the
-// budget, predicting either from a workload-blind static characterization
-// table (the paper's comparison setup) or from last-epoch per-island
-// observations (the original Isci et al. formulation).
+// planner picks DVFS levels under the budget from a workload-blind static
+// characterization table (the paper's comparison setup). The runner still
+// hands the planner last epoch's per-island power and BIPS, and keeps those
+// epoch sums in its snapshot, but the planner reads only how many
+// observations it gets.
 type MaxBIPSRunner struct {
 	cmp     *sim.CMP
 	planner *maxbips.Planner
@@ -111,27 +112,10 @@ func StaticPredictionTable(cmp *sim.CMP) [][]float64 {
 	return out
 }
 
-// newPlanner builds a MaxBIPS planner over the chip's own per-island
-// tables, so heterogeneous chips are planned on the right axes.
-func newPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
-	tables := make([]*power.DVFSTable, cmp.NumIslands())
-	for i := range tables {
-		tables[i] = cmp.IslandTable(i)
-	}
-	return maxbips.NewPerIsland(tables)
-}
-
-// NewStaticPlanner builds the static-table MaxBIPS planner for a chip —
-// one planning table per island plus the StaticPredictionTable — the one
-// constructor every driver (sweep, farm, serve, experiments) should use so
-// heterogeneous chips are planned on the right axes.
+// NewStaticPlanner builds the static-table MaxBIPS planner for a chip over
+// its StaticPredictionTable — the one constructor every driver (sweep,
+// farm, serve, experiments) uses, so heterogeneous chips are planned on
+// each island's own levels.
 func NewStaticPlanner(cmp *sim.CMP) (*maxbips.Planner, error) {
-	planner, err := newPlanner(cmp)
-	if err != nil {
-		return nil, err
-	}
-	if err := planner.SetStaticTable(StaticPredictionTable(cmp)); err != nil {
-		return nil, err
-	}
-	return planner, nil
+	return maxbips.New(StaticPredictionTable(cmp))
 }

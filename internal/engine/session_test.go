@@ -195,11 +195,8 @@ func TestSessionMaxBIPSMatchesBespokeLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := maxbips.New(cmp.Table())
+		pl, err := maxbips.New(StaticPredictionTable(cmp))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pl.SetStaticTable(StaticPredictionTable(cmp)); err != nil {
 			t.Fatal(err)
 		}
 		return cmp, pl

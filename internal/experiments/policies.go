@@ -6,6 +6,7 @@ import (
 
 	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/gpm"
+	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/variation"
 	"github.com/cpm-sim/cpm/internal/workload"
@@ -139,10 +140,10 @@ func runFig19(o Options) (Result, error) {
 	var meanThroughputLoss, meanPTImprove float64
 	metrics := map[string]float64{}
 	for i := 0; i < 4; i++ {
-		perfBIPS := mean(perf.IslandBIPS[i])
-		vaBIPS := mean(va.IslandBIPS[i])
-		perfPT := mean(perf.IslandPower[i]) / perfBIPS
-		vaPT := mean(va.IslandPower[i]) / vaBIPS
+		perfBIPS := stats.Mean(perf.IslandBIPS[i])
+		vaBIPS := stats.Mean(va.IslandBIPS[i])
+		perfPT := stats.Mean(perf.IslandPower[i]) / perfBIPS
+		vaPT := stats.Mean(va.IslandPower[i]) / vaBIPS
 		tLoss := 1 - vaBIPS/perfBIPS
 		ptImp := 1 - vaPT/perfPT
 		meanThroughputLoss += tLoss / 4

@@ -7,6 +7,7 @@ import (
 
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/sim"
+	"github.com/cpm-sim/cpm/internal/stats"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -221,9 +222,9 @@ func runFig9(o Options) (Result, error) {
 		sets[fmt.Sprintf("fig9-island%d", i+1)] = set
 	}
 
-	meanOver := mean(overshoots)
+	meanOver := stats.Mean(overshoots)
 	p95Over := percentile(overshoots, 0.95)
-	meanSettle := mean(settles)
+	meanSettle := stats.Mean(settles)
 	var b strings.Builder
 	fmt.Fprintf(&b, "PIC tracking between successive GPM invocations over %d island-epochs:\n", len(overshoots))
 	fmt.Fprintf(&b, "  mean overshoot      = %s of target (paper: mostly within 2%%)\n", pct(meanOver))
@@ -308,17 +309,9 @@ func quantumW(cfg sim.Config, islandIdx int) float64 {
 	return 0.6 * c.IslandMaxPowerW(islandIdx) / float64(steps)
 }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
+// percentile is the nearest-rank percentile with a floored index.
+// stats.Percentile interpolates between ranks, which would move fig9's
+// reported 95th-percentile overshoot.
 func percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0

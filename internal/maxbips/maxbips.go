@@ -1,9 +1,9 @@
 // Package maxbips implements the MaxBIPS global power-management baseline
-// (Isci et al., MICRO 2006) the paper compares against: every management
-// interval, predict each island's power and throughput at every DVFS level
-// from a static scaling table, then pick the combination of levels that
-// maximizes total predicted BIPS subject to the predicted chip power staying
-// under the budget.
+// (Isci et al., MICRO 2006) in the form the paper compares against: "given
+// a power budget, the scheme selects DVFS co-ordinates from a static
+// prediction table" (§IV). Every management interval the planner picks the
+// highest uniform DVFS level whose predicted chip power, summed from the
+// table, stays under the budget.
 //
 // Two properties of MaxBIPS drive the paper's comparison results:
 //
@@ -11,24 +11,19 @@
 //     feedback — and it must pick a combination *below* the set-point, so
 //     with only 8 discrete knobs per island it systematically under-consumes
 //     the budget (Figure 11), and
-//   - its predictions assume performance scales with frequency, which holds
-//     per-core but degrades for multi-core islands mixing CPU- and
-//     memory-bound threads (Figures 13 and 15).
-//
-// The combination search is exhaustive for small configurations (the
-// original formulation) and falls back to a quantized-power dynamic program
-// for larger island counts, where L^N would be intractable.
+//   - a static table knows nothing about what each island is running, so
+//     CPU-bound islands are throttled exactly as hard as memory-bound ones,
+//     which costs more performance as islands grow (Figures 13 and 15).
 package maxbips
 
 import (
 	"errors"
 	"fmt"
-	"math"
-
-	"github.com/cpm-sim/cpm/internal/power"
 )
 
-// IslandObs is the per-island observation the planner predicts from.
+// IslandObs is one island's observation over the last management interval.
+// The static-table planner reads only how many observations Choose gets,
+// one per island; the fields are what a MaxBIPS implementation measures.
 type IslandObs struct {
 	// Level is the island's current DVFS level.
 	Level int
@@ -38,313 +33,69 @@ type IslandObs struct {
 	BIPS float64
 }
 
-// Planner chooses DVFS level combinations.
+// Planner chooses DVFS levels from a static per-island, per-level power
+// prediction table (watts).
 type Planner struct {
-	// shared is the chip-global table in legacy mode (every island planned
-	// on the same axis); tables carries one table per island otherwise.
-	shared *power.DVFSTable
-	tables []*power.DVFSTable
 	static [][]float64
-	// ExhaustiveLimit is the largest island count planned exhaustively;
-	// larger configurations use the DP (default 6: 8⁶ ≈ 262k combinations).
-	ExhaustiveLimit int
-	// PowerQuantum is the DP's power resolution in watts (default 0.25).
-	PowerQuantum float64
 }
 
-// New builds a planner over a chip-global DVFS table, applied to every
-// island — the legacy homogeneous mode.
-func New(table *power.DVFSTable) (*Planner, error) {
-	if table == nil {
-		return nil, errors.New("maxbips: nil DVFS table")
+// New builds a planner over a static prediction table: one row per island,
+// in island order, one predicted power per DVFS level of that island's own
+// table. Rows may differ in length on a chip whose islands run different
+// tables.
+func New(static [][]float64) (*Planner, error) {
+	if len(static) == 0 {
+		return nil, errors.New("maxbips: empty static table")
 	}
-	return &Planner{shared: table, ExhaustiveLimit: 6, PowerQuantum: 0.25}, nil
-}
-
-// NewPerIsland builds a planner over per-island DVFS tables (one per
-// island, in island order) so heterogeneous chips are planned on each
-// island's own operating points. Observations passed to Choose must cover
-// exactly these islands.
-func NewPerIsland(tables []*power.DVFSTable) (*Planner, error) {
-	if len(tables) == 0 {
-		return nil, errors.New("maxbips: no island tables")
-	}
-	for i, t := range tables {
-		if t == nil {
-			return nil, fmt.Errorf("maxbips: nil DVFS table for island %d", i)
+	for i, row := range static {
+		if len(row) == 0 {
+			return nil, fmt.Errorf("maxbips: island %d has no levels in the static table", i)
 		}
 	}
-	return &Planner{tables: tables, ExhaustiveLimit: 6, PowerQuantum: 0.25}, nil
+	return &Planner{static: static}, nil
 }
 
-// tbl returns island i's planning table.
-func (p *Planner) tbl(i int) *power.DVFSTable {
-	if p.shared != nil {
-		return p.shared
-	}
-	return p.tables[i]
-}
-
-// islands returns the island count the planner is sized for, or -1 in
-// chip-global mode (any count).
-func (p *Planner) islands() int {
-	if p.shared != nil {
-		return -1
-	}
-	return len(p.tables)
-}
-
-// predict fills per-island predicted power and BIPS for every level,
-// scaling the observed operating point by the static table: BIPS ∝ f,
-// P ∝ V²f (both normalized to the observed level).
-func (p *Planner) predict(obs []IslandObs) (pw, bips [][]float64) {
-	pw = make([][]float64, len(obs))
-	bips = make([][]float64, len(obs))
-	for i, o := range obs {
-		t := p.tbl(i)
-		l := t.Levels()
-		pw[i] = make([]float64, l)
-		bips[i] = make([]float64, l)
-		cur := t.Point(t.ClampLevel(o.Level))
-		curVF := cur.VoltageV * cur.VoltageV * cur.FreqMHz
-		for lvl := 0; lvl < l; lvl++ {
-			op := t.Point(lvl)
-			pw[i][lvl] = o.PowerW * (op.VoltageV * op.VoltageV * op.FreqMHz) / curVF
-			bips[i][lvl] = o.BIPS * op.FreqMHz / cur.FreqMHz
-		}
-	}
-	return pw, bips
-}
-
-// Choose returns the per-island DVFS levels maximizing predicted total BIPS
-// with predicted total power ≤ budgetW. When even the all-lowest combination
-// exceeds the predicted budget, it returns all-lowest (the scheme's failure
-// mode under infeasible budgets).
+// Choose returns the per-island DVFS levels for budgetW: the highest
+// uniform level whose predicted chip power stays under the budget, all
+// lowest when none does. A static table knows nothing about what each
+// island is currently running, so performance is modelled as proportional
+// to frequency with equal weight per core — making all feasible
+// combinations of equal total frequency equivalent. On a heterogeneous chip
+// "uniform" means the same level index with each island clamped to its own
+// row: shorter rows saturate at their top while longer ones keep climbing.
+// obs must hold one observation per table row; only its length is read.
 func (p *Planner) Choose(budgetW float64, obs []IslandObs) []int {
-	if len(obs) == 0 {
-		return nil
-	}
-	if n := p.islands(); n >= 0 && len(obs) != n {
-		panic(fmt.Sprintf("maxbips: %d observations for a planner over %d island tables", len(obs), n))
-	}
-	if p.static != nil {
-		return p.chooseStaticUniform(budgetW, len(obs))
-	}
-	pw, bips := p.predict(obs)
-	if len(obs) <= p.ExhaustiveLimit {
-		return p.exhaustive(budgetW, pw, bips)
-	}
-	return p.quantizedDP(budgetW, pw, bips)
-}
-
-// exhaustive enumerates all L^N combinations with branch-and-bound on
-// power: islands are processed in order, pruning prefixes whose minimal
-// completion already busts the budget.
-func (p *Planner) exhaustive(budgetW float64, pw, bips [][]float64) []int {
-	n := len(pw)
-
-	// minTail[i] = Σ_{j>=i} min_l pw[j][l]: the cheapest possible
-	// completion from island i on. Level counts are per island (pw rows
-	// are sized by each island's own table).
-	minTail := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		minP := math.Inf(1)
-		for lvl := 0; lvl < len(pw[i]); lvl++ {
-			if pw[i][lvl] < minP {
-				minP = pw[i][lvl]
-			}
-		}
-		minTail[i] = minTail[i+1] + minP
-	}
-
-	best := make([]int, n) // all-lowest fallback
-	bestBIPS := -1.0
-	cur := make([]int, n)
-
-	var rec func(i int, usedPower, gotBIPS float64)
-	rec = func(i int, usedPower, gotBIPS float64) {
-		if usedPower+minTail[i] > budgetW {
-			return
-		}
-		if i == n {
-			if gotBIPS > bestBIPS {
-				bestBIPS = gotBIPS
-				copy(best, cur)
-			}
-			return
-		}
-		for lvl := len(pw[i]) - 1; lvl >= 0; lvl-- { // try fast levels first
-			cur[i] = lvl
-			rec(i+1, usedPower+pw[i][lvl], gotBIPS+bips[i][lvl])
-		}
-	}
-	rec(0, 0, 0)
-	return best
-}
-
-// quantizedDP solves the same selection as a multiple-choice knapsack over
-// power quantized to PowerQuantum bins.
-func (p *Planner) quantizedDP(budgetW float64, pw, bips [][]float64) []int {
-	n := len(pw)
-	q := p.PowerQuantum
-	if q <= 0 {
-		q = 0.25
-	}
-	bins := int(budgetW/q) + 1
-
-	const unset = -1
-	// dp[b] = best BIPS using exactly ≤ b quanta so far; choice tracking
-	// per island.
-	dp := make([]float64, bins)
-	choice := make([][]int16, n)
-	reach := make([]bool, bins)
-	reach[0] = true
-	next := make([]float64, bins)
-	nextReach := make([]bool, bins)
-
-	for i := 0; i < n; i++ {
-		choice[i] = make([]int16, bins)
-		for b := range next {
-			next[b] = 0
-			nextReach[b] = false
-			choice[i][b] = unset
-		}
-		for b := 0; b < bins; b++ {
-			if !reach[b] {
-				continue
-			}
-			for lvl := 0; lvl < len(pw[i]); lvl++ {
-				cost := int(math.Ceil(pw[i][lvl] / q))
-				nb := b + cost
-				if nb >= bins {
-					continue
-				}
-				v := dp[b] + bips[i][lvl]
-				if !nextReach[nb] || v > next[nb] {
-					nextReach[nb] = true
-					next[nb] = v
-					choice[i][nb] = int16(lvl)
-				}
-			}
-		}
-		copy(dp, next)
-		copy(reach, nextReach)
-	}
-
-	// Find the best reachable bin, then backtrack.
-	bestBin, bestV := -1, -1.0
-	for b := 0; b < bins; b++ {
-		if reach[b] && dp[b] > bestV {
-			bestV, bestBin = dp[b], b
-		}
-	}
-	out := make([]int, n)
-	if bestBin < 0 {
-		return out // infeasible: all-lowest
-	}
-	// Backtracking requires recomputing the path; rerun the DP storing
-	// parent bins is costlier in memory, so instead walk islands in reverse
-	// greedily: at each island find the level consistent with the recorded
-	// choice table.
-	b := bestBin
-	for i := n - 1; i >= 0; i-- {
-		lvl := choice[i][b]
-		if lvl == unset {
-			// The recorded choice at this bin belongs to a different path;
-			// fall back to the cheapest level (conservative, cannot bust
-			// the budget).
-			lvl = 0
-		}
-		out[i] = int(lvl)
-		cost := int(math.Ceil(pw[i][out[i]] / q))
-		b -= cost
-		if b < 0 {
-			b = 0
-		}
-	}
-	return out
-}
-
-// SetStaticTable installs a static per-island, per-level power prediction
-// table (watts), switching the planner into the mode the paper actually
-// evaluated: "with MaxBIPS, given a power budget, the scheme selects DVFS
-// co-ordinates from a static prediction table" (§IV). A static table knows
-// nothing about what each island is currently running, so performance is
-// modelled as proportional to frequency with equal weight per core —
-// making all feasible combinations of equal total frequency equivalent —
-// and the planner picks the highest uniform level whose predicted chip
-// power stays under the budget. This is what produces the paper's MaxBIPS
-// behaviour: consumption always below the budget (the next level up busts
-// it) and large performance loss at scale, since CPU-bound islands get
-// throttled exactly as hard as memory-bound ones.
-func (p *Planner) SetStaticTable(table [][]float64) error {
-	if len(table) == 0 {
-		return errors.New("maxbips: empty static table")
-	}
-	if n := p.islands(); n >= 0 && len(table) != n {
-		return fmt.Errorf("maxbips: static table covers %d islands, planner has %d", len(table), n)
-	}
-	for i, row := range table {
-		if len(row) != p.tblForRow(i).Levels() {
-			return fmt.Errorf("maxbips: island %d has %d levels, want %d", i, len(row), p.tblForRow(i).Levels())
-		}
-	}
-	p.static = table
-	return nil
-}
-
-// Static reports whether a static table is installed.
-func (p *Planner) Static() bool { return p.static != nil }
-
-// tblForRow returns the table governing static-table row i; chip-global
-// planners use the shared table for every row.
-func (p *Planner) tblForRow(i int) *power.DVFSTable {
-	if p.shared != nil {
-		return p.shared
-	}
-	if i >= len(p.tables) {
-		i = len(p.tables) - 1
-	}
-	return p.tables[i]
-}
-
-// chooseStaticUniform picks the highest uniform level fitting the budget.
-// On a heterogeneous chip "uniform" means the same level index with each
-// island clamped to its own table: shorter tables saturate at their top
-// while longer ones keep climbing.
-func (p *Planner) chooseStaticUniform(budgetW float64, n int) []int {
-	out := make([]int, n)
-	if n > len(p.static) {
-		n = len(p.static)
+	if len(obs) != len(p.static) {
+		panic(fmt.Sprintf("maxbips: %d observations for a planner over %d islands", len(obs), len(p.static)))
 	}
 	maxLevels := 0
-	for i := 0; i < n; i++ {
-		if l := len(p.static[i]); l > maxLevels {
+	for _, row := range p.static {
+		if l := len(row); l > maxLevels {
 			maxLevels = l
 		}
 	}
 	best := 0
 	for lvl := maxLevels - 1; lvl >= 0; lvl-- {
 		total := 0.0
-		for i := 0; i < n; i++ {
-			row := p.static[i]
-			li := lvl
-			if li >= len(row) {
-				li = len(row) - 1
-			}
-			total += row[li]
+		for _, row := range p.static {
+			total += row[clamp(lvl, row)]
 		}
 		if total <= budgetW {
 			best = lvl
 			break
 		}
 	}
-	for i := range out {
-		li := best
-		if i < len(p.static) && li >= len(p.static[i]) {
-			li = len(p.static[i]) - 1
-		}
-		out[i] = li
+	out := make([]int, len(p.static))
+	for i, row := range p.static {
+		out[i] = clamp(best, row)
 	}
 	return out
+}
+
+// clamp limits level lvl to row's top level.
+func clamp(lvl int, row []float64) int {
+	if lvl >= len(row) {
+		return len(row) - 1
+	}
+	return lvl
 }

@@ -3,202 +3,20 @@ package maxbips
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/stats"
 )
 
-func newPlanner(t *testing.T) *Planner {
+func newPlanner(t *testing.T, static [][]float64) *Planner {
 	t.Helper()
-	p, err := New(power.PentiumM())
+	p, err := New(static)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// predictedTotals evaluates a chosen combination under the planner's own
-// prediction model.
-func predictedTotals(p *Planner, obs []IslandObs, levels []int) (pw, bips float64) {
-	pwTab, bipsTab := p.predict(obs)
-	for i, lvl := range levels {
-		pw += pwTab[i][lvl]
-		bips += bipsTab[i][lvl]
-	}
-	return
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil); err == nil {
-		t.Error("nil table should be rejected")
-	}
-}
-
-func TestPredictionScaling(t *testing.T) {
-	p := newPlanner(t)
-	obs := []IslandObs{{Level: 7, PowerW: 20, BIPS: 4}}
-	pw, bips := p.predict(obs)
-	// At the observed level the prediction equals the observation.
-	if math.Abs(pw[0][7]-20) > 1e-9 || math.Abs(bips[0][7]-4) > 1e-9 {
-		t.Errorf("self-prediction = (%v, %v)", pw[0][7], bips[0][7])
-	}
-	// BIPS scales with frequency: level 0 is 600/2000 of level 7.
-	if math.Abs(bips[0][0]-4*600.0/2000.0) > 1e-9 {
-		t.Errorf("BIPS prediction at level 0 = %v", bips[0][0])
-	}
-	// Power scales with V²f.
-	lo, hi := power.PentiumM().Point(0), power.PentiumM().Point(7)
-	want := 20 * (lo.VoltageV * lo.VoltageV * lo.FreqMHz) / (hi.VoltageV * hi.VoltageV * hi.FreqMHz)
-	if math.Abs(pw[0][0]-want) > 1e-9 {
-		t.Errorf("power prediction at level 0 = %v, want %v", pw[0][0], want)
-	}
-}
-
-func TestChooseRespectsBudget(t *testing.T) {
-	p := newPlanner(t)
-	obs := []IslandObs{
-		{Level: 7, PowerW: 20, BIPS: 4},
-		{Level: 7, PowerW: 22, BIPS: 2},
-		{Level: 7, PowerW: 18, BIPS: 3},
-		{Level: 7, PowerW: 21, BIPS: 5},
-	}
-	for _, budget := range []float64{30, 50, 65, 81} {
-		levels := p.Choose(budget, obs)
-		pw, _ := predictedTotals(p, obs, levels)
-		if pw > budget+1e-9 {
-			t.Errorf("budget %v: predicted power %v exceeds it", budget, pw)
-		}
-	}
-}
-
-func TestChooseMaximizesAtGenerousBudget(t *testing.T) {
-	p := newPlanner(t)
-	obs := []IslandObs{
-		{Level: 7, PowerW: 20, BIPS: 4},
-		{Level: 7, PowerW: 20, BIPS: 2},
-	}
-	levels := p.Choose(1000, obs)
-	for i, lvl := range levels {
-		if lvl != 7 {
-			t.Errorf("island %d at level %d despite unconstrained budget", i, lvl)
-		}
-	}
-}
-
-func TestChooseInfeasibleBudget(t *testing.T) {
-	p := newPlanner(t)
-	obs := []IslandObs{{Level: 7, PowerW: 20, BIPS: 4}}
-	levels := p.Choose(0.01, obs)
-	if levels[0] != 0 {
-		t.Errorf("infeasible budget should pick the lowest level, got %d", levels[0])
-	}
-	if p.Choose(10, nil) != nil {
-		t.Error("empty observation should give nil")
-	}
-}
-
-// The under-consumption behaviour of Figure 11: with discrete knobs the
-// chosen combination's predicted power sits strictly below a budget that
-// falls between achievable combinations.
-func TestUnderConsumesBetweenKnobs(t *testing.T) {
-	p := newPlanner(t)
-	obs := []IslandObs{
-		{Level: 7, PowerW: 20, BIPS: 4},
-		{Level: 7, PowerW: 20, BIPS: 4},
-	}
-	budget := 31.0 // between combination powers
-	levels := p.Choose(budget, obs)
-	pw, _ := predictedTotals(p, obs, levels)
-	if pw >= budget {
-		t.Errorf("predicted power %v not below budget %v", pw, budget)
-	}
-	if budget-pw < 0.1 {
-		t.Errorf("expected a visible under-consumption gap, got %v", budget-pw)
-	}
-}
-
-// The DP must match the exhaustive search's achieved BIPS (up to the power
-// quantization) on identical inputs.
-func TestDPMatchesExhaustiveProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stats.NewRand(seed)
-		p, err := New(power.PentiumM())
-		if err != nil {
-			return false
-		}
-		p.PowerQuantum = 0.05
-		obs := make([]IslandObs, 4)
-		for i := range obs {
-			obs[i] = IslandObs{
-				Level:  r.Intn(8),
-				PowerW: r.Range(5, 25),
-				BIPS:   r.Range(0.5, 6),
-			}
-		}
-		budget := r.Range(20, 90)
-
-		pwTab, bipsTab := p.predict(obs)
-
-		// Infeasible draws (even all-lowest busts the budget) exercise the
-		// documented fallback: both searches must return all-lowest.
-		minP := 0.0
-		for i := range obs {
-			minP += pwTab[i][0]
-		}
-		ex := p.exhaustive(budget, pwTab, bipsTab)
-		dp := p.quantizedDP(budget, pwTab, bipsTab)
-		if minP > budget {
-			for i := range ex {
-				if ex[i] != 0 || dp[i] != 0 {
-					return false
-				}
-			}
-			return true
-		}
-
-		exP, exB := predictedTotals(p, obs, ex)
-		dpP, dpB := predictedTotals(p, obs, dp)
-		if exP > budget+1e-9 {
-			return false
-		}
-		// Quantization rounds power *up*, so the DP is conservative: it
-		// must stay within budget and within a few percent of the
-		// exhaustive optimum. 8% covers the observed worst case (seed
-		// 0x4549befdae27735e reaches 92.75% of the exhaustive BIPS when
-		// rounding pushes the budget boundary across a level step).
-		if dpP > budget+1e-9 {
-			return false
-		}
-		return dpB >= exB*0.92-1e-9
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLargeConfigurationUsesDPAndIsFast(t *testing.T) {
-	p := newPlanner(t)
-	obs := make([]IslandObs, 16) // 8^16 exhaustive would be impossible
-	for i := range obs {
-		obs[i] = IslandObs{Level: 7, PowerW: 20, BIPS: 3}
-	}
-	levels := p.Choose(200, obs)
-	if len(levels) != 16 {
-		t.Fatalf("levels = %v", levels)
-	}
-	pw, _ := predictedTotals(p, obs, levels)
-	if pw > 200+1e-9 {
-		t.Errorf("DP busted the budget: %v", pw)
-	}
-	_, bips := predictedTotals(p, obs, levels)
-	// Sanity: with 200 W for 16 islands (12.5 W each) the DP should get
-	// well above the all-lowest throughput.
-	if bips < 16*3*0.4 {
-		t.Errorf("DP throughput %v implausibly low", bips)
-	}
 }
 
 func staticTable4(levels int) [][]float64 {
@@ -213,30 +31,61 @@ func staticTable4(levels int) [][]float64 {
 	return out
 }
 
+// raggedTable is a two-island chip whose islands run tables of 8 and 5
+// levels: level l costs 10+l W on the long row and 2+l W on the short one.
+func raggedTable() [][]float64 {
+	return [][]float64{
+		{10, 11, 12, 13, 14, 15, 16, 17},
+		{2, 3, 4, 5, 6},
+	}
+}
+
+// predicted sums the static prediction of a chosen combination.
+func predicted(static [][]float64, levels []int) float64 {
+	total := 0.0
+	for i, l := range levels {
+		total += static[i][l]
+	}
+	return total
+}
+
+func TestNewValidation(t *testing.T) {
+	for _, empty := range [][][]float64{nil, {}} {
+		if _, err := New(empty); err == nil {
+			t.Errorf("empty table %v should be rejected", empty)
+		}
+	}
+}
+
+// New installs the static table: a row with no levels is rejected and
+// names its island, and a well-formed table, ragged rows included, yields
+// a planner that picks one level per row.
 func TestSetStaticTableValidation(t *testing.T) {
-	p := newPlanner(t)
-	if err := p.SetStaticTable(nil); err == nil {
-		t.Error("empty table should be rejected")
+	for _, tc := range []struct {
+		table  [][]float64
+		island string
+	}{
+		{[][]float64{{}}, "island 0"},
+		{[][]float64{{1, 2}, {3, 4}, {}}, "island 2"},
+	} {
+		p, err := New(tc.table)
+		if err == nil || !strings.Contains(err.Error(), tc.island) {
+			t.Errorf("table %v: err = %v, want one naming %s", tc.table, err, tc.island)
+		}
+		if p != nil {
+			t.Errorf("table %v: a rejected table still gave a planner", tc.table)
+		}
 	}
-	if err := p.SetStaticTable([][]float64{{1, 2}}); err == nil {
-		t.Error("wrong level arity should be rejected")
-	}
-	if p.Static() {
-		t.Error("failed installs should not enable static mode")
-	}
-	if err := p.SetStaticTable(staticTable4(8)); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Static() {
-		t.Error("static mode not enabled")
+	for _, table := range [][][]float64{staticTable4(8), raggedTable()} {
+		p := newPlanner(t, table)
+		if got := p.Choose(1000, make([]IslandObs, len(table))); len(got) != len(table) {
+			t.Errorf("table with %d rows: %d levels chosen", len(table), len(got))
+		}
 	}
 }
 
 func TestStaticChoosesHighestFeasibleUniformLevel(t *testing.T) {
-	p := newPlanner(t)
-	if err := p.SetStaticTable(staticTable4(8)); err != nil {
-		t.Fatal(err)
-	}
+	p := newPlanner(t, staticTable4(8))
 	obs := make([]IslandObs, 4)
 	// Level l costs 4*(6+2l): level 5 costs 64, level 6 costs 72.
 	levels := p.Choose(70, obs)
@@ -262,15 +111,144 @@ func TestStaticChoosesHighestFeasibleUniformLevel(t *testing.T) {
 // The static mode is workload-blind: wildly different observations change
 // nothing.
 func TestStaticModeIgnoresObservations(t *testing.T) {
-	p := newPlanner(t)
-	if err := p.SetStaticTable(staticTable4(8)); err != nil {
-		t.Fatal(err)
-	}
+	p := newPlanner(t, staticTable4(8))
 	a := p.Choose(70, []IslandObs{{BIPS: 100, PowerW: 1}, {}, {}, {}})
 	b := p.Choose(70, []IslandObs{{BIPS: 0.01, PowerW: 99}, {}, {}, {}})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("static planner must not react to observations")
 		}
+	}
+}
+
+// On a chip whose islands run tables of different lengths, a uniform level
+// clamps each island to its own row: the short row stays at its top while
+// the long row keeps climbing.
+func TestStaticRaggedRows(t *testing.T) {
+	p := newPlanner(t, raggedTable())
+	obs := make([]IslandObs, 2)
+	for _, tc := range []struct {
+		budget float64
+		want   [2]int
+	}{
+		{23, [2]int{7, 4}},   // level 7 costs 17 + 6
+		{22.9, [2]int{6, 4}}, // level 6 costs 16 + 6
+		{21, [2]int{5, 4}},   // level 5 costs 15 + 6
+		{20, [2]int{4, 4}},   // level 4 costs 14 + 6: both rows climb below it
+		{19.9, [2]int{3, 3}}, // level 3 costs 13 + 5
+		{12, [2]int{0, 0}},   // level 0 costs 10 + 2
+	} {
+		got := p.Choose(tc.budget, obs)
+		if len(got) != 2 || got[0] != tc.want[0] || got[1] != tc.want[1] {
+			t.Errorf("budget %v: levels %v, want %v", tc.budget, got, tc.want)
+		}
+	}
+}
+
+// A budget that even the all-lowest combination busts gives the lowest
+// level on every island, the scheme's failure mode.
+func TestChooseInfeasibleBudget(t *testing.T) {
+	p := newPlanner(t, raggedTable())
+	for _, budget := range []float64{11.9, 1, 0, -5, math.NaN()} {
+		got := p.Choose(budget, make([]IslandObs, 2))
+		if len(got) != 2 || got[0] != 0 || got[1] != 0 {
+			t.Errorf("budget %v: levels %v, want the lowest level on both islands", budget, got)
+		}
+	}
+}
+
+// Under a budget every combination fits, each island runs its own top
+// level, however short its row.
+func TestChooseMaximizesAtGenerousBudget(t *testing.T) {
+	p := newPlanner(t, raggedTable())
+	for _, budget := range []float64{1000, math.Inf(1)} {
+		got := p.Choose(budget, make([]IslandObs, 2))
+		if len(got) != 2 || got[0] != 7 || got[1] != 4 {
+			t.Errorf("budget %v: levels %v, want each island's top level [7 4]", budget, got)
+		}
+	}
+}
+
+// On random ragged tables with rising rows, the chosen combination's
+// predicted power fits any budget the all-lowest combination fits, and one
+// uniform level higher (where any island can still climb) busts it.
+func TestChooseRespectsBudget(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := stats.NewRand(seed)
+		static := make([][]float64, 1+r.Intn(6))
+		maxLevels := 0
+		for i := range static {
+			static[i] = make([]float64, 1+r.Intn(8))
+			w := r.Range(0.5, 3)
+			for l := range static[i] {
+				w += r.Range(0.1, 2)
+				static[i][l] = w
+			}
+			maxLevels = max(maxLevels, len(static[i]))
+		}
+		p, err := New(static)
+		if err != nil {
+			return false
+		}
+		lowest := predicted(static, make([]int, len(static)))
+		budget := r.Range(0.5*lowest, 25*float64(len(static)))
+		got := p.Choose(budget, make([]IslandObs, len(static)))
+		uniform := 0
+		for _, l := range got {
+			uniform = max(uniform, l)
+		}
+		for i, l := range got {
+			if l != clamp(uniform, static[i]) {
+				return false
+			}
+		}
+		if lowest > budget {
+			return uniform == 0
+		}
+		if predicted(static, got) > budget {
+			return false
+		}
+		if uniform+1 < maxLevels {
+			up := make([]int, len(static))
+			for i := range up {
+				up[i] = clamp(uniform+1, static[i])
+			}
+			return predicted(static, up) > budget
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// The under-consumption behaviour of Figure 11: with discrete knobs the
+// chosen combination's predicted power sits strictly below a budget that
+// falls between two uniform levels.
+func TestUnderConsumesBetweenKnobs(t *testing.T) {
+	static := staticTable4(8)
+	p := newPlanner(t, static)
+	const budget = 70.0 // between level 5 (64 W) and level 6 (72 W)
+	pw := predicted(static, p.Choose(budget, make([]IslandObs, 4)))
+	if pw >= budget {
+		t.Errorf("predicted power %v not below budget %v", pw, budget)
+	}
+	if budget-pw < 1 {
+		t.Errorf("expected a visible under-consumption gap, got %v", budget-pw)
+	}
+}
+
+func TestChooseRejectsIslandCountMismatch(t *testing.T) {
+	p := newPlanner(t, staticTable4(8))
+	for _, n := range []int{0, 3, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d observations for 4 islands did not panic", n)
+				}
+			}()
+			p.Choose(70, make([]IslandObs, n))
+		}()
 	}
 }
