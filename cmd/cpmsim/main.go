@@ -92,6 +92,19 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 		fs.Usage()
 		return cliConfig{}, fmt.Errorf("cpmsim: need a command")
 	}
+	// A flag its command ignores is refused, not dropped. Whether a flag
+	// was set is read from the flag set, not its value: -at 0 means
+	// "default".
+	only := map[string]string{"resume": "scenario", "o": "checkpoint", "at": "checkpoint"}
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if cmd := only[f.Name]; stray == nil && cmd != "" && cmd != args[0] {
+			stray = fmt.Errorf("cpmsim %s: -%s applies only to %s", args[0], f.Name, cmd)
+		}
+	})
+	if stray != nil {
+		return cliConfig{}, stray
+	}
 	c := cliConfig{
 		opts:    experiments.Options{Quick: *quick, Seed: *seed, Check: *checked},
 		csvDir:  *csvDir,

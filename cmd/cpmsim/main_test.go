@@ -105,6 +105,12 @@ func TestParseCLIRejects(t *testing.T) {
 		{"scenario without names", []string{"scenario"}, "need scenario names"},
 		{"unknown scenario", []string{"scenario", "nope"}, "unknown scenario"},
 		{"unknown flag", []string{"-frob", "run", "fig11"}, "not defined"},
+		{"resume on run", []string{"-resume", "x.ckpt", "-quick", "run", "table1"}, "-resume applies only to scenario"},
+		{"resume on checkpoint", []string{"-resume", "x.ckpt", "checkpoint", "cpm-default"}, "-resume applies only to scenario"},
+		{"output on tables", []string{"-o", "x.ckpt", "tables"}, "-o applies only to checkpoint"},
+		{"at on tables", []string{"-at", "40", "tables"}, "-at applies only to checkpoint"},
+		{"zero at on scenario", []string{"-at", "0", "scenario", "cpm-default"}, "-at applies only to checkpoint"},
+		{"output on scenario", []string{"-o", "x.ckpt", "scenario", "cpm-default"}, "-o applies only to checkpoint"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

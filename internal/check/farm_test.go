@@ -277,8 +277,8 @@ func TestFarmWindowedGroupMatchesScalar(t *testing.T) {
 
 // TestFarmWindowedWarmStartMatchesScalar is the warm-started twin: the
 // group resumes a sampler snapshot taken after 6 epochs of lockstep
-// warm-up, so its record log starts mid-stream with the restored
-// sampler's counters, and each member forks from the warm chip. The
+// warm-up, so its window starts mid-stream with the restored sampler's
+// counters, and each member forks from the warm chip. The
 // scalar side forks from a sim.New chip warmed as long.
 func TestFarmWindowedWarmStartMatchesScalar(t *testing.T) {
 	const warmIntervals = 6 * 20
@@ -297,8 +297,6 @@ func TestFarmWindowedWarmStartMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared.SetCacheStatsSource(sampler.CacheStats)
-	shared.SetIslandCacheStatsSource(sampler.IslandCacheStats)
 	scalar, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -99,11 +99,11 @@ type CPM struct {
 
 	// Cache-signal plumbing, active only when the policy chain asks for it
 	// (gpm.WantsCacheSignals): curCache latches the cumulative per-island
-	// cache counters right after each chip step — the one point where every
-	// chip sharing a sampler in lockstep observes it at the same position,
-	// and the interval a chip over a record log reads its counters at —
-	// and prevCache holds the latch from the last GPM invocation so the
-	// next one observes epoch deltas.
+	// cache counters right after each chip step — the interval a chip over
+	// a sim.Sampler reads its counters at, and the one point where chips
+	// that read a shared sampler's current counters in lockstep all see
+	// it at the same position — and prevCache holds the latch from the
+	// last GPM invocation so the next one observes epoch deltas.
 	wantCache bool
 	curCache  []sim.CacheStats
 	prevCache []sim.CacheStats

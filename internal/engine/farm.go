@@ -7,14 +7,13 @@ import (
 
 // FarmRunner drives a set of sessions in passes: every pass steps each
 // unfinished session, in session order, up to a window of intervals before
-// the next session moves. A window of one is the lockstep round that chips
-// sharing a bare sim.Sampler require — all of them consume the same
-// interval's batch before any moves on, which bounds the sampler's
-// buffering to one batch regardless of fleet size. Chips sharing a
-// sim.RecordLog may be up to its window apart, so they step in passes of
-// that window (RunWindows), each chip's state staying in the host's caches
-// across its window. Sessions may have different interval budgets; a
-// session that exhausts its budget simply drops out of later passes.
+// the next session moves. A window of one is the lockstep round: all
+// sessions consume the same interval's batch before any moves on. Chips
+// sharing a sim.Sampler may be up to sim.Window intervals apart, so they
+// may step in passes of that window (RunWindows), each chip's state
+// staying in the host's caches across its window. Sessions may have
+// different interval budgets; a session that exhausts its budget simply
+// drops out of later passes.
 //
 // A FarmRunner is single-use and not safe for concurrent use. Shard
 // independent farms (separate samplers) across a Pool instead.
@@ -72,7 +71,7 @@ func (f *FarmRunner) Run(onRound func(completed, total int)) []Summary {
 
 // RunWindows is Run in passes of w intervals per session; onPass is
 // invoked after every pass. The sessions' sources must serve intervals w
-// apart (a sim.RecordLog of window at least w).
+// apart (a shared sim.Sampler, for w up to sim.Window).
 func (f *FarmRunner) RunWindows(w int, onPass func(completed, total int)) []Summary {
 	if w < 1 {
 		panic(fmt.Sprintf("engine: farm window %d", w))

@@ -8,23 +8,20 @@ import (
 	"github.com/cpm-sim/cpm/internal/sim"
 )
 
-// MaxBIPSRunner drives the MaxBIPS baseline: every period intervals the
-// planner picks DVFS levels under the budget from a workload-blind static
-// characterization table (the paper's comparison setup). The runner still
-// hands the planner last epoch's per-island power and BIPS, and keeps those
-// epoch sums in its snapshot, but the planner reads only how many
-// observations it gets.
+// MaxBIPSRunner drives the MaxBIPS baseline: from the end of the first
+// period on, every period intervals the planner picks DVFS levels under
+// the budget from a workload-blind static characterization table (the
+// paper's comparison setup). The planner reads only how many island
+// observations it gets, so the runner hands it a fixed slice of one per
+// island and its only state is the interval counter.
 type MaxBIPSRunner struct {
 	cmp     *sim.CMP
 	planner *maxbips.Planner
 	budgetW float64
 	period  int
 
-	k         int
-	haveObs   bool
-	epochPow  []float64
-	epochBIPS []float64
-	obs       []maxbips.IslandObs
+	k   int
+	obs []maxbips.IslandObs
 }
 
 // NewMaxBIPSRunner wraps a chip and planner. period ≤ 0 selects the default
@@ -42,15 +39,12 @@ func NewMaxBIPSRunner(cmp *sim.CMP, planner *maxbips.Planner, budgetW float64, p
 	if period <= 0 {
 		period = 20
 	}
-	n := cmp.NumIslands()
 	return &MaxBIPSRunner{
-		cmp:       cmp,
-		planner:   planner,
-		budgetW:   budgetW,
-		period:    period,
-		epochPow:  make([]float64, n),
-		epochBIPS: make([]float64, n),
-		obs:       make([]maxbips.IslandObs, n),
+		cmp:     cmp,
+		planner: planner,
+		budgetW: budgetW,
+		period:  period,
+		obs:     make([]maxbips.IslandObs, cmp.NumIslands()),
 	}, nil
 }
 
@@ -59,31 +53,12 @@ func (r *MaxBIPSRunner) Chip() *sim.CMP { return r.cmp }
 
 // Step implements Runner.
 func (r *MaxBIPSRunner) Step() Step {
-	if r.k%r.period == 0 && r.haveObs {
-		for i := range r.obs {
-			r.obs[i] = maxbips.IslandObs{
-				Level:  r.cmp.Level(i),
-				PowerW: r.epochPow[i] / float64(r.period),
-				BIPS:   r.epochBIPS[i] / float64(r.period),
-			}
-			r.epochPow[i], r.epochBIPS[i] = 0, 0
-		}
+	if r.k%r.period == 0 && r.k >= r.period {
 		for i, lvl := range r.planner.Choose(r.budgetW, r.obs) {
 			r.cmp.SetLevel(i, lvl)
 		}
-	} else if r.k%r.period == 0 {
-		for i := range r.epochPow {
-			r.epochPow[i], r.epochBIPS[i] = 0, 0
-		}
 	}
 	res := r.cmp.Step()
-	for i, ir := range res.Islands {
-		r.epochPow[i] += ir.PowerW
-		r.epochBIPS[i] += ir.BIPS
-	}
-	if (r.k+1)%r.period == 0 {
-		r.haveObs = true
-	}
 	st := Step{Index: r.k, Sim: res, GPMInvoked: r.k%r.period == 0}
 	r.k++
 	return st

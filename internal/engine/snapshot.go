@@ -79,15 +79,12 @@ func (r *ChipRunner) Restore(d *snapshot.Decoder) error {
 }
 
 // Snapshot implements SnapshotRunner. The planner is stateless
-// configuration; the observation scratch buffer is fully overwritten before
-// each use. The epoch accumulators and primed flag are the runner's state.
+// configuration and the observation slice is never written, so the
+// interval counter is the runner's only state.
 func (r *MaxBIPSRunner) Snapshot(e *snapshot.Encoder) error {
 	e.Tag(snapshot.TagRunner)
 	e.U8(runnerKindMaxBIPS)
 	e.Int(r.k)
-	e.Bool(r.haveObs)
-	e.F64s(r.epochPow)
-	e.F64s(r.epochBIPS)
 	return r.cmp.Snapshot(e)
 }
 
@@ -97,23 +94,10 @@ func (r *MaxBIPSRunner) Restore(d *snapshot.Decoder) error {
 	if err != nil {
 		return err
 	}
-	haveObs := d.Bool()
-	epochPow := d.F64s()
-	epochBIPS := d.F64s()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(epochPow) != len(r.epochPow) || len(epochBIPS) != len(r.epochBIPS) {
-		return snapshot.ShapeErrorf("maxbips accumulators sized %d/%d, runner has %d islands",
-			len(epochPow), len(epochBIPS), len(r.epochPow))
-	}
 	if err := r.cmp.Restore(d); err != nil {
 		return err
 	}
 	r.k = k
-	r.haveObs = haveObs
-	copy(r.epochPow, epochPow)
-	copy(r.epochBIPS, epochBIPS)
 	return nil
 }
 

@@ -15,12 +15,12 @@
 // different budgets and controllers — collapse into one group, so the
 // aggregate cost of N points approaches the cost of one.
 //
-// A group's members read the sampler through a sim.RecordLog retaining
-// the last window intervals, and each pass steps every member window
-// intervals before the next member moves. Stepping all members one
-// interval per round instead walks every other member's state between two
-// intervals of one chip, and the sampler's cache arrays and each member's
-// state fall out of the host's caches every interval.
+// A sampler retains its last sim.Window intervals, so each pass steps
+// every member sim.Window intervals before the next member moves.
+// Stepping all members one interval per round instead walks every other
+// member's state between two intervals of one chip, and the sampler's
+// cache arrays and each member's state fall out of the host's caches every
+// interval.
 //
 // A member chip steps the same code as the chip sim.New builds from its
 // Config, over a shared sampler instead of its own, so it is bit-identical
@@ -84,17 +84,10 @@ type Options struct {
 	SamplerState []byte
 }
 
-// window is the number of intervals a pass steps each group member, and
-// so the number its group's record log retains (about 35 KB for an 8-core
-// chip). On a 512-member Mix-1 group (BenchmarkFarmRun512, 2-vCPU VM)
-// windows of 8 to 128 intervals ran 1.2–1.4× faster than windows of one,
-// the differences between them within the host's noise.
-const window = 32
-
 // group is the unit of sharing and of pool parallelism: one sampler's
-// member chips over its record log, stepped in passes of window intervals
-// by one FarmRunner. specs[j] is the spec index of the runner's j-th
-// session, so results come back in spec order.
+// member chips, stepped in passes of sim.Window intervals by one
+// FarmRunner. specs[j] is the spec index of the runner's j-th session, so
+// results come back in spec order.
 type group struct {
 	specs []int
 	fr    *engine.FarmRunner
@@ -111,9 +104,9 @@ type Farm struct {
 }
 
 // New builds the fleet: specs are grouped by WorkloadKey (first-seen
-// order), each group gets one sampler and record log, and every spec
-// becomes a record-driven chip over the log plus session. Construction is
-// eager and deterministic; Run only steps.
+// order), each group gets one sampler, and every spec becomes a
+// record-driven chip over it plus session. Construction is eager and
+// deterministic; Run only steps.
 func New(specs []ChipSpec, opts Options) (*Farm, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("farm: no chips")
@@ -147,8 +140,7 @@ func New(specs []ChipSpec, opts Options) (*Farm, error) {
 	return f, nil
 }
 
-// buildGroup constructs one sampler, its record log and the member chips
-// and sessions.
+// buildGroup constructs one sampler and the member chips and sessions.
 func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []byte) (*group, error) {
 	sampler, err := sim.NewSampler(specs[idxs[0]].Config)
 	if err != nil {
@@ -159,11 +151,10 @@ func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []by
 			return nil, fmt.Errorf("farm: restoring sampler for %s: %w", key, err)
 		}
 	}
-	log := sim.NewRecordLog(sampler, window)
 	sessions := make([]*engine.Session, len(idxs))
 	for j, i := range idxs {
 		spec := specs[i]
-		cmp, err := sim.NewWithRecords(spec.Config, log)
+		cmp, err := sim.NewWithRecords(spec.Config, sampler)
 		if err != nil {
 			return nil, fmt.Errorf("farm: chip %d: %w", i, err)
 		}
@@ -204,17 +195,17 @@ func (f *Farm) progress(delta int) {
 }
 
 // Run executes the whole fleet on the pool — groups are the unit of
-// parallelism; within a group, chips step in passes of window intervals —
-// and returns the summaries in spec order. onProgress, when non-nil, is
-// invoked (serialized) whenever sessions finish, with fleet-wide counts.
-// Byte-identical results at any pool size.
+// parallelism; within a group, chips step in passes of sim.Window
+// intervals — and returns the summaries in spec order. onProgress, when
+// non-nil, is invoked (serialized) whenever sessions finish, with
+// fleet-wide counts. Byte-identical results at any pool size.
 func (f *Farm) Run(pool engine.Pool, onProgress func(completed, total int)) ([]engine.Summary, error) {
 	f.onProgress = onProgress
 	out := make([]engine.Summary, f.nSpecs)
 	err := pool.Run(len(f.groups), func(gi int) error {
 		g := f.groups[gi]
 		prev := 0
-		sums := g.fr.RunWindows(window, func(done, _ int) {
+		sums := g.fr.RunWindows(sim.Window, func(done, _ int) {
 			f.progress(done - prev)
 			prev = done
 		})

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/snapshot"
+	"github.com/cpm-sim/cpm/internal/uarch"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
@@ -25,7 +27,7 @@ func TestSamplerMatchesLiveChipRecords(t *testing.T) {
 			live.SetLevel(i, (k/5+i)%8)
 		}
 		live.Step()
-		for id, rec := range live.sampler.recs {
+		for id, rec := range live.sampler.Records(k) {
 			if rec != set.Records[id][k] {
 				t.Fatalf("interval %d core %d: recorded %+v, live chip sampled %+v",
 					k, id, set.Records[id][k], rec)
@@ -34,34 +36,187 @@ func TestSamplerMatchesLiveChipRecords(t *testing.T) {
 	}
 }
 
-// TestSamplerLockstepContract pins Records' three-way behaviour: cursor
-// advances, cursor-1 replays the cached batch, anything else panics.
-func TestSamplerLockstepContract(t *testing.T) {
-	s, err := NewSampler(DefaultConfig(workload.Mix1()))
+// lockstepCounters reads a sampler's current counters, which a chip
+// stepping in lockstep with it reads: the chip's, then each island's.
+func lockstepCounters(s *Sampler) []CacheStats {
+	out := []CacheStats{s.CacheStats()}
+	for i := range s.islands {
+		out = append(out, s.IslandCacheStats(i))
+	}
+	return out
+}
+
+// windowCounters reads the sampler's counters before interval n in the
+// same layout.
+func windowCounters(s *Sampler, n int) []CacheStats {
+	return append([]CacheStats(nil), s.counters(n)...)
+}
+
+func newSampler(t *testing.T, cfg Config) *Sampler {
+	t.Helper()
+	s, err := NewSampler(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0 := s.Records(0)
-	if s.Cursor() != 1 {
-		t.Fatalf("cursor = %d after first batch, want 1", s.Cursor())
+	return s
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// checkWindowContract drives s next to ref, a sampler in the same state
+// consumed at its cursor only, for Window+8 intervals from s's cursor.
+// After each new interval every retained interval must return the batch
+// ref sampled for it and the counters ref had right after it; the next
+// interval must sample; anything older than the window, before the
+// sampler's first interval or past the next interval must panic.
+func checkWindowContract(t *testing.T, s, ref *Sampler) {
+	t.Helper()
+	first := s.Cursor()
+	if got, want := windowCounters(s, first), lockstepCounters(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters before the first interval %d: sampler %+v, lockstep %+v", first, got, want)
 	}
-	if again := s.Records(0); &again[0] != &r0[0] {
-		t.Error("replaying the current interval did not return the cached batch")
+	var batches [][]uarch.TraceRecord
+	var counters [][]CacheStats
+	for k := first; k < first+Window+8; k++ {
+		batches = append(batches, append([]uarch.TraceRecord(nil), ref.Records(k)...))
+		counters = append(counters, lockstepCounters(ref))
+		s.Records(k)
+		if s.Cursor() != k+1 {
+			t.Fatalf("asking for the next interval %d left the cursor at %d", k, s.Cursor())
+		}
+		for j := k; j >= first && j > k-Window; j-- {
+			if got := s.Records(j); !reflect.DeepEqual(got, batches[j-first]) {
+				t.Fatalf("at %d, retained interval %d returned another batch", k, j)
+			}
+			if got := windowCounters(s, j+1); !reflect.DeepEqual(got, counters[j-first]) {
+				t.Fatalf("at %d, counters after interval %d: sampler %+v, lockstep %+v", k, j, got, counters[j-first])
+			}
+		}
+		if s.Cursor() != k+1 {
+			t.Fatalf("reading retained intervals moved the cursor to %d at %d", s.Cursor(), k)
+		}
+		if got, want := lockstepCounters(s), counters[k-first]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("at %d, current counters %+v, lockstep %+v", k, got, want)
+		}
+		mustPanic(t, "an interval past the next one", func() { s.Records(k + 2) })
+		mustPanic(t, "an interval before the sampler's first", func() { s.Records(first - 1) })
+		mustPanic(t, "counters past the next interval", func() { s.counters(k + 2) })
+		if old := k - Window; old >= first {
+			mustPanic(t, "an interval older than the window", func() { s.Records(old) })
+			mustPanic(t, "counters older than the window", func() { s.counters(old + 1) })
+		}
 	}
-	s.Records(1)
-	for _, bad := range []int{0, 3, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Records(%d) at cursor 2 did not panic", bad)
+}
+
+// TestSamplerWindowContractFresh runs the contract from a fresh sampler,
+// whose counters before the first interval are zeros.
+func TestSamplerWindowContractFresh(t *testing.T) {
+	cfg := DefaultConfig(workload.Mix1())
+	cfg.Seed = 5
+	checkWindowContract(t, newSampler(t, cfg), newSampler(t, cfg))
+}
+
+// TestSamplerWindowContractRestored runs the contract from a restored
+// sampler: the window restarts at its cursor, with its counters as the
+// base.
+func TestSamplerWindowContractRestored(t *testing.T) {
+	cfg := DefaultConfig(workload.Mix1())
+	cfg.Seed = 5
+	orig := newSampler(t, cfg)
+	for k := 0; k < 13; k++ {
+		orig.Records(k)
+	}
+	e := snapshot.NewEncoder()
+	orig.Snapshot(e)
+	restore := func() *Sampler {
+		s := newSampler(t, cfg)
+		if err := s.Restore(snapshot.NewDecoder(e.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	checkWindowContract(t, restore(), restore())
+}
+
+// TestSamplerWindowChipCounters: two chips over one sampler, stepped a
+// window at a time each, read after every step the counters a chip
+// stepping in lockstep with its sampler reads right after the same step —
+// from a fresh sampler and from a warm-started chip over a restored one.
+func TestSamplerWindowChipCounters(t *testing.T) {
+	const warm = 9
+	cfg := DefaultConfig(workload.Mix1())
+	cfg.Seed = 5
+
+	// A lockstep reference, warmed to the restore point.
+	ref := newSampler(t, cfg)
+	warmChip, err := NewWithRecords(cfg, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]CacheStats // counters after each interval
+	for k := 0; k < warm; k++ {
+		warmChip.Step()
+		want = append(want, lockstepCounters(ref))
+	}
+	se, ce := snapshot.NewEncoder(), snapshot.NewEncoder()
+	ref.Snapshot(se)
+	if err := warmChip.Snapshot(ce); err != nil {
+		t.Fatal(err)
+	}
+	end := warm + 2*Window + 5 // the last pass is a partial window
+	for k := warm; k < end; k++ {
+		ref.Records(k) // the warm chip stops; ref samples on alone
+		want = append(want, lockstepCounters(ref))
+	}
+	chipCounters := func(c *CMP) []CacheStats {
+		out := []CacheStats{c.CacheStats()}
+		for i := 0; i < c.NumIslands(); i++ {
+			out = append(out, c.IslandCacheStats(i))
+		}
+		return out
+	}
+
+	for _, restored := range []bool{false, true} {
+		s := newSampler(t, cfg)
+		if restored {
+			if err := s.Restore(snapshot.NewDecoder(se.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var chips [2]*CMP
+		for i := range chips {
+			if chips[i], err = NewWithRecords(cfg, s); err != nil {
+				t.Fatal(err)
+			}
+			if restored {
+				if err := chips[i].Restore(snapshot.NewDecoder(ce.Bytes())); err != nil {
+					t.Fatal(err)
 				}
-			}()
-			s.Records(bad)
-		}()
-	}
-	s.Records(2)
-	if s.Cursor() != 3 {
-		t.Fatalf("cursor = %d after the third batch, want 3", s.Cursor())
+				if got := chipCounters(chips[i]); !reflect.DeepEqual(got, want[warm-1]) {
+					t.Fatalf("restored chip before its first step reads %+v, want the restored sampler's %+v", got, want[warm-1])
+				}
+			} else if got := chipCounters(chips[i]); !reflect.DeepEqual(got, make([]CacheStats, len(got))) {
+				t.Fatalf("fresh chip before its first step reads %+v, want zeros", got)
+			}
+		}
+		for pass := s.Cursor(); pass < end; pass += Window {
+			for _, c := range chips {
+				for k := pass; k < pass+Window && k < end; k++ {
+					c.Step()
+					if got := chipCounters(c); !reflect.DeepEqual(got, want[k]) {
+						t.Fatalf("restored=%v: chip read %+v after interval %d, lockstep read %+v", restored, got, k, want[k])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -13,7 +13,9 @@
 // (internal/core wires the GPM and PICs to this engine; internal/maxbips
 // drives it for the baseline). Every chip steps the same way: New builds
 // one over a sampler it owns, NewWithRecords over a caller's (possibly
-// shared) source and NewReplay over a trace.
+// shared) source and NewReplay over a trace. A Sampler is a bounded record
+// log — it retains its last Window intervals — so chips sharing one step
+// in lockstep or up to Window intervals apart under one contract.
 //
 // Cross-island couplings (shared-memory queueing and lateral heat flow) are
 // applied with one interval of delay, and islands share no sampling state.
@@ -162,12 +164,10 @@ func (r Result) Clone() Result {
 // a chip's Step. The returned slice is indexed by global core ID and must
 // stay valid until the next Records call.
 //
-// A Sampler's contract is lockstep: consumers ask for interval k only when
-// its cursor is at k (which advances it) or at k+1 (which returns the
-// cached batch, so several chips sharing one source can each step interval
-// k). A RecordLog over a sampler relaxes this to any interval in its
-// window. Both panic on any other access — it means chips sharing the
-// source have diverged, which would silently corrupt every chip's workload
+// A Sampler serves its cursor interval (sampling it) and the Window
+// intervals before it, so chips sharing one may step in lockstep or up to
+// Window intervals apart. It panics on any other access — chips sharing it
+// have diverged, which would silently corrupt every chip's workload
 // stream.
 type RecordSource interface {
 	Records(k int) []uarch.TraceRecord
@@ -233,36 +233,34 @@ func (c *CMP) AddStepHook(fn func(Result)) {
 	}
 }
 
-// New builds a CMP from cfg over a sampler of its own (NewSampler(cfg)):
-// every Step samples one interval of records and evaluates it at the
-// islands' operating points. The chip reads its cache statistics from the
-// sampler, and its snapshot carries the sampler.
+// New builds a CMP from cfg over a sampler of its own: NewWithRecords over
+// NewSampler(cfg), so every Step samples one interval of records and
+// evaluates it at the islands' operating points. The chip's snapshot
+// carries the sampler.
 func New(cfg Config) (*CMP, error) {
-	c, err := newChip(cfg)
-	if err != nil {
-		return nil, err
-	}
 	s, err := NewSampler(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.src, c.sampler = s, s
-	c.SetCacheStatsSource(s.CacheStats)
-	c.SetIslandCacheStatsSource(s.IslandCacheStats)
+	c, err := NewWithRecords(cfg, s)
+	if err != nil {
+		return nil, err
+	}
+	c.sampler = s
 	return c, nil
 }
 
 // NewWithRecords builds a chip that draws its records from src (normally a
-// Sampler built from the same Config and shared by a farm group) instead
-// of owning a sampler. Everything frequency- or chip-dependent — DVFS
-// state, power, leakage, thermal RC network, memory and NoC congestion
-// feedback, process variation — remains per-chip, so a chip fed the
-// records New(cfg) would have sampled is bit-identical to it while costing
-// a few KB and a few µs per interval instead of a few hundred KB and ~100µs
-// per core. The source is not part of the chip's snapshot. A chip over a
-// RecordLog reads its cache statistics from the log at the interval it
-// last stepped; over any other source it reports zeros until its owner
-// installs a statistics source (SetCacheStatsSource).
+// Sampler built from the same Config, possibly shared by a farm group)
+// instead of owning a sampler. Everything frequency- or chip-dependent —
+// DVFS state, power, leakage, thermal RC network, memory and NoC
+// congestion feedback, process variation — remains per-chip, so a chip fed
+// the records New(cfg) would have sampled is bit-identical to it while
+// costing a few KB and a few µs per interval instead of a few hundred KB
+// and ~100µs per core. The source is not part of the chip's snapshot. A
+// chip over a Sampler reads its cache statistics from the sampler at the
+// interval it last stepped; over any other source it reports zeros until
+// its owner installs a statistics source (SetCacheStatsSource).
 func NewWithRecords(cfg Config, src RecordSource) (*CMP, error) {
 	if src == nil {
 		return nil, errors.New("sim: NewWithRecords needs a record source")
@@ -272,9 +270,9 @@ func NewWithRecords(cfg Config, src RecordSource) (*CMP, error) {
 		return nil, err
 	}
 	c.src = src
-	if l, ok := src.(*RecordLog); ok {
-		c.SetCacheStatsSource(func() CacheStats { return l.CacheStats(c.interval) })
-		c.SetIslandCacheStatsSource(func(i int) CacheStats { return l.IslandCacheStats(c.interval, i) })
+	if s, ok := src.(*Sampler); ok {
+		c.SetCacheStatsSource(func() CacheStats { return s.counters(c.interval)[0] })
+		c.SetIslandCacheStatsSource(func(i int) CacheStats { return s.counters(c.interval)[1+i] })
 	}
 	return c, nil
 }
@@ -613,9 +611,9 @@ func (c *CMP) Thermals() *thermal.Model { return c.thermals }
 func (c *CMP) TotalInstructions() float64 { return c.totalInstr }
 
 // SetCacheStatsSource sets where CacheStats reads from. The chip simulates
-// no caches; its sampler does, so a NewWithRecords chip's owner points
-// this at the sampler that feeds it (New does so for the chip's own). A
-// nil source reports zeros.
+// no caches; its sampler does. A chip over a Sampler reads it at its own
+// interval already; an owner that wraps the sampler in another
+// RecordSource points this at the sampler. A nil source reports zeros.
 func (c *CMP) SetCacheStatsSource(f func() CacheStats) { c.cacheStatsSrc = f }
 
 // SetIslandCacheStatsSource sets where IslandCacheStats reads from, the

@@ -49,7 +49,10 @@ const Magic uint32 = 0x534d5043
 // a sampler presence flag (plus the sampler a New chip owns); sampling
 // cores no longer carry an instruction count, and the replay-core section
 // is gone.
-const Version uint32 = 4
+// Version 5: the MaxBIPS runner section keeps only its kind and interval
+// counter; its primed flag and epoch power and BIPS sums, which the
+// static-table planner never read, are gone.
+const Version uint32 = 5
 
 // Section tags. Every composite object's Snapshot opens with one, and the
 // matching Restore verifies it — a cheap structural checksum that turns
