@@ -27,8 +27,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # Interval-kernel benchmark suite → $(BENCH_OUT): cache and stream
-# microbenches plus the end-to-end interval kernel, with alloc counters.
-# Pin reference numbers with BENCH_FLAGS='-baseline cache_access=24.5,...'.
+# microbenches, the end-to-end interval kernel, fleet rounds, calibration
+# and checkpoint encode/restore, with alloc counters. Measure a change
+# against a revision with BENCH_FLAGS='-against HEAD~1': both builds' test
+# binaries run alternately, pair by pair, and the report keeps each side's
+# minimum and median and how many pairs the change won.
 bench:
 	$(GO) run ./cmd/benchreport -out $(BENCH_OUT) $(BENCH_FLAGS)
 
@@ -54,14 +57,17 @@ fuzz:
 	$(GO) test ./internal/sweepd -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -fuzz FuzzChipSnapshotV3Restore -fuzztime $(FUZZTIME)
 
-# Short smoke of the three decoder fuzz targets that guard restore paths:
-# the snapshot codec, sweepd checkpoints (corrupt checkpoints must error,
-# never resume divergently) and chip snapshots v3. Every regression test
-# behind them runs in `make race`.
+# Short smoke of four fuzz targets: the three decoders that guard restore
+# paths — the snapshot codec, sweepd checkpoints (corrupt checkpoints must
+# error, never resume divergently) and chip snapshots v3 — and the address
+# streams, whose branch-free generator FuzzStreamAddrs checks draw for draw
+# against the branchy reference loop. Every regression test behind them
+# runs in `make race`.
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/sweepd -fuzz FuzzCheckpointRestore -fuzztime 10s
 	$(GO) test ./internal/sim -fuzz FuzzChipSnapshotV3Restore -fuzztime 10s
+	$(GO) test ./internal/workload -fuzz FuzzStreamAddrs -fuzztime 10s
 
 # Fleet throughput benchmark: chips/sec of the 64- and 1024-chip lockstep
 # rounds vs the aggregate-scalar reference, of the 64-chip managed fleet,

@@ -3,28 +3,40 @@
 // (`make bench` → BENCH_PR<n>.json) that lets successive PRs record
 // before/after numbers in a comparable format.
 //
-// Each benchmark is run -count times and the minimum ns/op is kept: on
+// Each suite package's test binary is built once and each benchmark is run
+// -count times; the report keeps the minimum and the median ns/op. On
 // machines with frequency scaling or noisy neighbours the minimum is the
 // least-contended estimate, and the suite exists to compare builds, not to
-// model steady-state throughput. Baseline numbers from an earlier build can
-// be pinned with -baseline to compute speedups into the same report.
+// model steady-state throughput.
+//
+// With -against REV the same binaries are also built from a temporary git
+// worktree of REV, and the two builds run alternately, pair by pair (which
+// side runs first alternates too), so drift on a shared host lands on both
+// sides alike. The report then carries REV's minimum and median beside the
+// working tree's, and how many pairs the working tree won.
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 )
 
 // suite lists the benchmarks the report tracks: the cache microbenches, the
 // address-stream generator, the end-to-end interval kernel, the fleet
-// rounds, unmanaged and managed, one 512-member managed Farm.Run and one
-// Mix-1 calibration.
+// rounds, unmanaged and managed, one 512-member managed Farm.Run, one Mix-1
+// calibration, and one checkpoint encode and restore.
 var suite = []struct {
 	key   string // JSON key
 	bench string // exact benchmark name
@@ -40,6 +52,8 @@ var suite = []struct {
 	{"fleet_managed_64", "BenchmarkFleetFarmManaged64", "."},
 	{"farm_run_512", "BenchmarkFarmRun512", "."},
 	{"calibration_mix1", "BenchmarkCalibration", "."},
+	{"checkpoint_encode", "BenchmarkCheckpointEncode", "./internal/sweepd"},
+	{"checkpoint_restore", "BenchmarkCheckpointRestore", "./internal/sweepd"},
 }
 
 // fleets maps the fleet-round keys to their chip counts; the report derives
@@ -51,15 +65,35 @@ var fleets = map[string]int{
 	"fleet_round_1024": 1024,
 }
 
-// Entry is one benchmark's measurement.
+// Run is one benchmark run's result line.
+type Run struct {
+	NsPerOp     float64
+	AllocsPerOp int64
+	BytesPerOp  int64
+}
+
+// Side summarizes one build's runs of a benchmark.
+type Side struct {
+	// NsPerOp is the minimum over the runs, MedianNsPerOp the median.
+	NsPerOp       float64 `json:"ns_per_op"`
+	MedianNsPerOp float64 `json:"median_ns_per_op"`
+	AllocsPerOp   int64   `json:"allocs_per_op"`
+	BytesPerOp    int64   `json:"bytes_per_op"`
+}
+
+// Entry is one benchmark's measurement on the working tree and, with
+// -against, on the named revision.
 type Entry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	// BaselineNsPerOp and Speedup are present when -baseline pinned a
-	// reference number for this key.
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op,omitempty"`
-	Speedup         float64 `json:"speedup,omitempty"`
+	Side
+	// Against is the revision's side; absent without -against or when
+	// the revision does not have the benchmark.
+	Against *Side `json:"against,omitempty"`
+	// Wins counts the pairs (run i of each side) in which the working
+	// tree was faster, out of Pairs.
+	Wins  int `json:"wins,omitempty"`
+	Pairs int `json:"pairs,omitempty"`
+	// Speedup is the revision's median over the working tree's.
+	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // FleetEntry is one fleet benchmark's derived throughput measurement.
@@ -84,6 +118,7 @@ type Report struct {
 	GOARCH    string                `json:"goarch"`
 	Count     int                   `json:"count"`
 	Benchtime string                `json:"benchtime"`
+	Against   string                `json:"against,omitempty"`
 	Note      string                `json:"note,omitempty"`
 	Results   map[string]Entry      `json:"results"`
 	Fleet     map[string]FleetEntry `json:"fleet,omitempty"`
@@ -91,15 +126,13 @@ type Report struct {
 
 func main() {
 	out := flag.String("out", "BENCH.json", "output JSON path")
-	count := flag.Int("count", 3, "runs per benchmark (minimum ns/op kept)")
+	count := flag.Int("count", 3, "runs per benchmark and build (minimum and median ns/op kept)")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
-	baseline := flag.String("baseline", "", "comma-separated key=ns_per_op reference numbers (e.g. cache_access=24.5)")
+	against := flag.String("against", "", "git revision to build from a temporary worktree and run alternately with the working tree")
 	note := flag.String("note", "", "free-form provenance note stored in the report")
 	flag.Parse()
-
-	base, err := parseBaseline(*baseline)
-	if err != nil {
-		fatal(err)
+	if *count < 1 {
+		fatal(fmt.Errorf("-count must be at least 1, got %d", *count))
 	}
 	rep := Report{
 		GoVersion: runtime.Version(),
@@ -109,17 +142,13 @@ func main() {
 		Note:      *note,
 		Results:   map[string]Entry{},
 	}
-	for _, b := range suite {
-		e, err := run(b.bench, b.pkg, *count, *benchtime)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", b.bench, err))
-		}
-		if ref, ok := base[b.key]; ok {
-			e.BaselineNsPerOp = ref
-			e.Speedup = ref / e.NsPerOp
-		}
-		rep.Results[b.key] = e
-		fmt.Printf("%-16s %10.2f ns/op  %d allocs/op\n", b.key, e.NsPerOp, e.AllocsPerOp)
+	// An interrupt kills the running benchmark and still removes the
+	// temporary worktree and binaries on the way out.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := measure(ctx, &rep, *against)
+	stop()
+	if err != nil {
+		fatal(err)
 	}
 	deriveFleet(&rep)
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -130,6 +159,209 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
+}
+
+// measure builds the suite in the working tree and, when against names a
+// revision, in a temporary worktree of it, then runs every benchmark
+// rep.Count times per build into rep.Results.
+func measure(ctx context.Context, rep *Report, against string) error {
+	bins, err := os.MkdirTemp("", "benchreport-bin-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(bins)
+	cur, err := buildSuite(ctx, ".", filepath.Join(bins, "tree"))
+	if err != nil {
+		return err
+	}
+	var base map[string]testBin
+	if against != "" {
+		hash, err := gitOutput("rev-parse", "--short", against+"^{commit}")
+		if err != nil {
+			return err
+		}
+		rep.Against = against + " (" + hash + ")"
+		dir, remove, err := worktree(hash)
+		if err != nil {
+			return err
+		}
+		defer remove()
+		if base, err = buildSuite(ctx, dir, filepath.Join(bins, "against")); err != nil {
+			return err
+		}
+	}
+	for _, b := range suite {
+		runCur := func() (Run, error) { return cur[b.pkg].run(ctx, b.bench, rep.Benchtime) }
+		var runBase func() (Run, error)
+		if bin := base[b.pkg]; bin.has(b.bench) {
+			runBase = func() (Run, error) { return bin.run(ctx, b.bench, rep.Benchtime) }
+		}
+		curRuns, baseRuns, err := alternate(rep.Count, runCur, runBase)
+		if err != nil {
+			return fmt.Errorf("%s: %w", b.bench, err)
+		}
+		e := compare(curRuns, baseRuns)
+		rep.Results[b.key] = e
+		line := fmt.Sprintf("%-18s %12.0f ns/op min %12.0f median  %d allocs/op", b.key, e.NsPerOp, e.MedianNsPerOp, e.AllocsPerOp)
+		if e.Against != nil {
+			line += fmt.Sprintf("  | against %12.0f min %12.0f median, %.3fx, won %d/%d",
+				e.Against.NsPerOp, e.Against.MedianNsPerOp, e.Speedup, e.Wins, e.Pairs)
+		} else if against != "" {
+			line += "  | absent at " + against
+		}
+		fmt.Println(line)
+	}
+	return nil
+}
+
+// testBin is a suite package's test binary and the package directory it
+// runs in, as go test would run it.
+type testBin struct{ path, dir string }
+
+// buildSuite compiles the test binary of every suite package in the tree
+// at dir into binDir and returns them by package path. A package that does
+// not build there (a revision predating it) is left out; a failure in the
+// working tree is an error.
+func buildSuite(ctx context.Context, dir, binDir string) (map[string]testBin, error) {
+	bins := map[string]testBin{}
+	for _, b := range suite {
+		if _, done := bins[b.pkg]; done {
+			continue
+		}
+		bin, err := filepath.Abs(filepath.Join(binDir, strings.NewReplacer("/", "_", ".", "root").Replace(b.pkg)+".test"))
+		if err != nil {
+			return nil, err
+		}
+		cmd := exec.CommandContext(ctx, "go", "test", "-c", "-o", bin, b.pkg)
+		cmd.Dir = dir
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			if dir == "." || ctx.Err() != nil {
+				return nil, fmt.Errorf("building %s: %w", b.pkg, err)
+			}
+			fmt.Fprintf(os.Stderr, "benchreport: %s does not build at the revision; its benchmarks are reported without it\n", b.pkg)
+			bins[b.pkg] = testBin{}
+			continue
+		}
+		bins[b.pkg] = testBin{path: bin, dir: filepath.Join(dir, b.pkg)}
+	}
+	return bins, nil
+}
+
+// worktree checks rev out into a temporary detached git worktree and
+// returns its directory and the function that removes it.
+func worktree(rev string) (string, func(), error) {
+	dir, err := os.MkdirTemp("", "benchreport-rev-")
+	if err != nil {
+		return "", nil, err
+	}
+	remove := func() {
+		exec.Command("git", "worktree", "remove", "--force", dir).Run()
+		os.RemoveAll(dir)
+		exec.Command("git", "worktree", "prune").Run()
+	}
+	if _, err := gitOutput("worktree", "add", "--detach", dir, rev); err != nil {
+		remove()
+		return "", nil, err
+	}
+	return dir, remove, nil
+}
+
+func gitOutput(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).CombinedOutput()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w: %s", strings.Join(args, " "), err, bytes.TrimSpace(out))
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// has reports whether the binary defines the benchmark.
+func (t testBin) has(bench string) bool {
+	if t.path == "" {
+		return false
+	}
+	out, err := exec.Command(t.path, "-test.list", "^"+bench+"$").Output()
+	return err == nil && strings.TrimSpace(string(out)) == bench
+}
+
+// run runs one benchmark once and parses its result line.
+func (t testBin) run(ctx context.Context, bench, benchtime string) (Run, error) {
+	cmd := exec.CommandContext(ctx, t.path, "-test.run", "^$", "-test.bench", "^"+bench+"$",
+		"-test.benchtime", benchtime, "-test.benchmem")
+	cmd.Dir = t.dir
+	cmd.Stderr = os.Stderr
+	outb, err := cmd.Output()
+	if err != nil {
+		return Run{}, err
+	}
+	for _, line := range strings.Split(string(outb), "\n") {
+		if r, ok := parseBenchLine(line); ok {
+			return r, nil
+		}
+	}
+	return Run{}, fmt.Errorf("no benchmark output parsed")
+}
+
+// alternate makes count pairs of runs, one of each side per pair, with the
+// side that runs first alternating between pairs. base may be nil (no
+// revision, or one without the benchmark): then only cur runs.
+func alternate(count int, cur, base func() (Run, error)) (curRuns, baseRuns []Run, err error) {
+	sides := []struct {
+		run  func() (Run, error)
+		runs *[]Run
+	}{{cur, &curRuns}, {base, &baseRuns}}
+	for i := 0; i < count; i++ {
+		for j := range sides {
+			s := sides[(i+j)%2]
+			if s.run == nil {
+				continue
+			}
+			r, err := s.run()
+			if err != nil {
+				return nil, nil, err
+			}
+			*s.runs = append(*s.runs, r)
+		}
+	}
+	return curRuns, baseRuns, nil
+}
+
+// summarize keeps the minimum and median ns/op of runs, with the alloc
+// counters of the fastest run (they do not vary between runs).
+func summarize(runs []Run) Side {
+	ns := make([]float64, len(runs))
+	best := runs[0]
+	for i, r := range runs {
+		ns[i] = r.NsPerOp
+		if r.NsPerOp < best.NsPerOp {
+			best = r
+		}
+	}
+	slices.Sort(ns)
+	med := ns[len(ns)/2]
+	if len(ns)%2 == 0 {
+		med = (ns[len(ns)/2-1] + ns[len(ns)/2]) / 2
+	}
+	return Side{NsPerOp: best.NsPerOp, MedianNsPerOp: med, AllocsPerOp: best.AllocsPerOp, BytesPerOp: best.BytesPerOp}
+}
+
+// compare summarizes both sides and counts the pairs the working tree won
+// (strictly faster; ties count for neither side).
+func compare(cur, base []Run) Entry {
+	e := Entry{Side: summarize(cur)}
+	if len(base) == 0 {
+		return e
+	}
+	b := summarize(base)
+	e.Against = &b
+	e.Pairs = min(len(cur), len(base))
+	for i := 0; i < e.Pairs; i++ {
+		if cur[i].NsPerOp < base[i].NsPerOp {
+			e.Wins++
+		}
+	}
+	e.Speedup = b.MedianNsPerOp / e.MedianNsPerOp
+	return e
 }
 
 // deriveFleet folds the fleet-round measurements into per-chip and
@@ -162,76 +394,33 @@ func deriveFleet(rep *Report) {
 	}
 }
 
-// run executes one benchmark count times and keeps the minimum ns/op (with
-// its alloc counters, which do not vary between runs).
-func run(bench, pkg string, count int, benchtime string) (Entry, error) {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+bench+"$",
-		"-benchtime", benchtime, "-count", strconv.Itoa(count), "-benchmem", pkg)
-	cmd.Stderr = os.Stderr
-	outb, err := cmd.Output()
-	if err != nil {
-		return Entry{}, err
-	}
-	best := Entry{}
-	seen := false
-	for _, line := range strings.Split(string(outb), "\n") {
-		e, ok := parseBenchLine(line)
-		if ok && (!seen || e.NsPerOp < best.NsPerOp) {
-			best, seen = e, true
-		}
-	}
-	if !seen {
-		return Entry{}, fmt.Errorf("no benchmark output parsed")
-	}
-	return best, nil
-}
-
 // parseBenchLine reads one `go test -bench` result line: the benchmark
 // name, the iteration count, then value-unit pairs. b.ReportMetric units
 // print between ns/op and the -benchmem pair, so every field is found by
 // its unit, wherever it sits. ok is false for any other line.
-func parseBenchLine(line string) (e Entry, ok bool) {
+func parseBenchLine(line string) (r Run, ok bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
-		return Entry{}, false
+		return Run{}, false
 	}
 	if _, err := strconv.Atoi(f[1]); err != nil {
-		return Entry{}, false
+		return Run{}, false
 	}
 	for i := 2; i < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
-			return Entry{}, false
+			return Run{}, false
 		}
 		switch f[i+1] {
 		case "ns/op":
-			e.NsPerOp, ok = v, true
+			r.NsPerOp, ok = v, true
 		case "B/op":
-			e.BytesPerOp = int64(v)
+			r.BytesPerOp = int64(v)
 		case "allocs/op":
-			e.AllocsPerOp = int64(v)
+			r.AllocsPerOp = int64(v)
 		}
 	}
-	return e, ok
-}
-
-func parseBaseline(s string) (map[string]float64, error) {
-	out := map[string]float64{}
-	if s == "" {
-		return out, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return nil, fmt.Errorf("benchreport: malformed baseline entry %q", kv)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchreport: baseline %s: %w", k, err)
-		}
-		out[k] = f
-	}
-	return out, nil
+	return r, ok
 }
 
 func fatal(err error) {

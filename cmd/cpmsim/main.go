@@ -11,15 +11,17 @@
 //	cpmsim checkpoint cpm-default        # snapshot a scenario mid-run
 //	cpmsim -resume f.ckpt scenario NAME  # continue it bit-identically
 //
-// Flags:
+// Flags (a flag given to a command that does not read it is refused):
 //
-//	-quick        shortened horizons (same shapes, faster)
+//	-quick        (run, tables) shortened horizons (same shapes, faster)
 //	-seed N       experiment seed (default 1, must be non-zero)
-//	-check        fail an experiment on any violation of the invariant
-//	              suite every run carries (internal/check)
-//	-csv DIR      also write every series as CSV files into DIR
-//	-workers N    run experiments concurrently (0 = GOMAXPROCS); reports
-//	              are buffered per experiment and printed in request order
+//	-check        (run, tables) fail an experiment on any violation of the
+//	              invariant suite every run carries (internal/check);
+//	              scenarios always fail on a violation
+//	-csv DIR      (run, tables) also write every series as CSV files into DIR
+//	-workers N    (run, tables) run experiments concurrently (0 =
+//	              GOMAXPROCS); reports are buffered per experiment and
+//	              printed in request order
 //	-metrics F    export run telemetry to F after the run ("-" = stdout,
 //	              .json = JSON, anything else Prometheus text format)
 //	-pprof ADDR   serve net/http/pprof on ADDR for the life of the process
@@ -36,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/cpm-sim/cpm/internal/check"
@@ -65,11 +68,11 @@ type cliConfig struct {
 func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 	fs := flag.NewFlagSet("cpmsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	quick := fs.Bool("quick", false, "run shortened horizons")
+	quick := fs.Bool("quick", false, "run, tables: shortened horizons")
 	seed := fs.Uint64("seed", 1, "experiment seed (non-zero)")
-	checked := fs.Bool("check", false, "fail an experiment on any invariant violation (every run carries the invariant suite)")
-	csvDir := fs.String("csv", "", "directory to write CSV series into")
-	workers := fs.Int("workers", 1, "concurrent experiments (0 = GOMAXPROCS)")
+	checked := fs.Bool("check", false, "run, tables: fail an experiment on any invariant violation (every run carries the invariant suite)")
+	csvDir := fs.String("csv", "", "run, tables: directory to write CSV series into")
+	workers := fs.Int("workers", 1, "run, tables: concurrent experiments (0 = GOMAXPROCS)")
 	resume := fs.String("resume", "", "scenario: checkpoint file to restore before running")
 	ckptOut := fs.String("o", "", "checkpoint: output path (default <scenario>.ckpt)")
 	ckptAt := fs.Int("at", 0, "checkpoint: intervals to run before snapshotting (default: end of warmup)")
@@ -91,19 +94,6 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 	if len(args) == 0 {
 		fs.Usage()
 		return cliConfig{}, fmt.Errorf("cpmsim: need a command")
-	}
-	// A flag its command ignores is refused, not dropped. Whether a flag
-	// was set is read from the flag set, not its value: -at 0 means
-	// "default".
-	only := map[string]string{"resume": "scenario", "o": "checkpoint", "at": "checkpoint"}
-	var stray error
-	fs.Visit(func(f *flag.Flag) {
-		if cmd := only[f.Name]; stray == nil && cmd != "" && cmd != args[0] {
-			stray = fmt.Errorf("cpmsim %s: -%s applies only to %s", args[0], f.Name, cmd)
-		}
-	})
-	if stray != nil {
-		return cliConfig{}, stray
 	}
 	c := cliConfig{
 		opts:    experiments.Options{Quick: *quick, Seed: *seed, Check: *checked},
@@ -168,7 +158,31 @@ func parseCLI(argv []string, stderr io.Writer) (cliConfig, error) {
 		fs.Usage()
 		return cliConfig{}, fmt.Errorf("cpmsim: unknown command %q", args[0])
 	}
+	if err := strayFlag(fs, c.cmd); err != nil {
+		return cliConfig{}, err
+	}
 	return c, nil
+}
+
+// readers maps each command-specific flag to the commands that read it.
+var readers = map[string][]string{
+	"quick": {"run", "tables"}, "csv": {"run", "tables"},
+	"workers": {"run", "tables"}, "check": {"run", "tables"},
+	"resume": {"scenario"}, "o": {"checkpoint"}, "at": {"checkpoint"},
+}
+
+// strayFlag refuses a flag that cmd does not read instead of dropping it.
+// Whether a flag was set is read from the flag set, not its value: -at 0
+// means "default" and still counts as set.
+func strayFlag(fs *flag.FlagSet, cmd string) error {
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		cmds, ok := readers[f.Name]
+		if stray == nil && ok && !slices.Contains(cmds, cmd) {
+			stray = fmt.Errorf("cpmsim %s: -%s applies only to %s", cmd, f.Name, strings.Join(cmds, " and "))
+		}
+	})
+	return stray
 }
 
 func main() {

@@ -111,6 +111,14 @@ func TestParseCLIRejects(t *testing.T) {
 		{"at on tables", []string{"-at", "40", "tables"}, "-at applies only to checkpoint"},
 		{"zero at on scenario", []string{"-at", "0", "scenario", "cpm-default"}, "-at applies only to checkpoint"},
 		{"output on scenario", []string{"-o", "x.ckpt", "scenario", "cpm-default"}, "-o applies only to checkpoint"},
+		{"quick on scenario", []string{"-quick", "scenario", "cpm-default"}, "cpmsim scenario: -quick applies only to run and tables"},
+		{"csv on scenario", []string{"-csv", "/tmp/x", "scenario", "cpm-default"}, "-csv applies only to run and tables"},
+		{"workers on scenario", []string{"-workers", "3", "scenario", "cpm-default"}, "-workers applies only to run and tables"},
+		{"check on scenario", []string{"-check", "scenario", "cpm-default"}, "-check applies only to run and tables"},
+		{"default workers on checkpoint", []string{"-workers", "1", "checkpoint", "cpm-default"}, "cpmsim checkpoint: -workers applies only to run and tables"},
+		{"quick on checkpoint", []string{"-quick", "checkpoint", "cpm-default"}, "-quick applies only to run and tables"},
+		{"csv on list", []string{"-csv", "/tmp/x", "list"}, "cpmsim list: -csv applies only to run and tables"},
+		{"unknown command before stray flag", []string{"-quick", "frobnicate"}, "unknown command"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -221,6 +221,91 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
+// AccessBatch performs Access on every address of addrs, in order, and
+// compacts the addresses that missed, in order, to the front of addrs,
+// returning that prefix. Cache state and counters end exactly as the
+// per-address Access loop leaves them. It is the L1 half of a Hierarchy
+// pass, where the misses then go to the L2. Two-way caches, the L1s of
+// every simulated chip (Table I), run a loop with the cache's fields in
+// locals and no call per reference; other geometries call Access.
+func (c *Cache) AccessBatch(addrs []uint64) []uint64 {
+	if c.assoc == 2 {
+		return c.accessBatch2(addrs)
+	}
+	m := 0
+	for _, a := range addrs {
+		if !c.Access(a) {
+			addrs[m] = a
+			m++
+		}
+	}
+	return addrs[:m]
+}
+
+// accessBatch2 is AccessBatch for two-way caches. Both tags are compared
+// directly and every outcome is computed with masks: a sampled stream's
+// hits and misses follow no pattern a branch predictor can learn. Each reference stores the order word, the fill count, one tag
+// and the signature word whether it hit or not (a hit stores the values
+// already there), updated exactly as Access would: a hit moves its way's
+// nibble to the front, a miss fills the first empty way or the LRU one and
+// shifts the order word.
+func (c *Cache) accessBatch2(addrs []uint64) []uint64 {
+	tags, order, sigs, size, pref := c.tags, c.order, c.sigs, c.size, c.pref
+	blockBits, setMask, setShift := c.blockBits, c.setMask, c.setShift
+	prefLive := c.prefLive
+	var hits, evictions uint64
+	m := 0
+	for _, addr := range addrs {
+		block := addr >> blockBits
+		set := block & setMask
+		tag := block >> setShift
+		ways := tags[2*set : 2*set+2 : 2*set+2]
+		n := uint64(size[set])
+		ord := order[set]
+		// Way 0 wins if both match, as in Access's low-to-high scan.
+		h0 := eqMask(ways[0], tag) & lessMask(0, n)
+		h1 := eqMask(ways[1], tag) & lessMask(1, n) &^ h0
+		hit := h0 | h1
+		w := h1 & 1
+		full := lessMask(1, n)
+		victim := sel(full, ord>>4&0xf, n)
+		// A hit on the way behind the MRU one swaps the two nibbles.
+		hitOrd := sel(^eqMask(ord&0xf, w), ord&^0xff|(ord&0xf)<<4|w, ord)
+		order[set] = sel(hit, hitOrd, ord<<4|victim)
+		way := sel(hit, w, victim) & 1
+		ways[way] = tag
+		sh := way * 8
+		sigs[set] = sigs[set]&^(0xff<<sh) | (tag&0xff)<<sh
+		miss := ^hit & 1
+		size[set] = int32(n + miss&^full)
+		evictions += miss & full
+		if prefLive {
+			pref[set] &^= (miss & full) << victim
+		}
+		hits += hit & 1
+		addrs[m] = addr
+		m += int(miss)
+	}
+	c.stats.Accesses += uint64(len(addrs))
+	c.stats.Hits += hits
+	c.stats.Misses += uint64(m)
+	c.stats.Evictions += evictions
+	return addrs[:m]
+}
+
+// eqMask returns all ones when a == b and zero otherwise.
+func eqMask(a, b uint64) uint64 {
+	x := a ^ b
+	return (x|-x)>>63 - 1
+}
+
+// lessMask returns all ones when a < b and zero otherwise; both must be
+// below 2^63.
+func lessMask(a, b uint64) uint64 { return uint64(int64(a-b) >> 63) }
+
+// sel returns a where mask is all ones and b where it is zero.
+func sel(mask, a, b uint64) uint64 { return b ^ (a^b)&mask }
+
 // SWAR constants: byte and nibble lane units and high-bit masks.
 const (
 	sigLo    = 0x0101010101010101

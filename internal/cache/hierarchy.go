@@ -81,16 +81,6 @@ type Level2 interface {
 	ResetStats()
 }
 
-// AccessResult classifies where a data access was satisfied.
-type AccessResult int
-
-// Access outcome levels.
-const (
-	HitL1 AccessResult = iota
-	HitL2
-	HitMemory
-)
-
 // NewHierarchy wires a hierarchy after validating the pieces exist.
 func NewHierarchy(l1i, l1d *Cache, l2 Level2) (*Hierarchy, error) {
 	if l1i == nil || l1d == nil || l2 == nil {
@@ -99,26 +89,26 @@ func NewHierarchy(l1i, l1d *Cache, l2 Level2) (*Hierarchy, error) {
 	return &Hierarchy{L1I: l1i, L1D: l1d, L2: l2}, nil
 }
 
-// Data performs a data access: L1D first, then L2 on a miss, then memory.
-func (h *Hierarchy) Data(addr uint64) AccessResult {
-	if h.L1D.Access(addr) {
-		return HitL1
-	}
-	if h.L2.Access(addr) {
-		return HitL2
-	}
-	return HitMemory
-}
+// DataPass pushes one interval's data references through the hierarchy:
+// all of them through the L1D in one batch, then the L1D misses, in order,
+// through the L2. It returns how many the L2 served and how many went to
+// memory. The L1D never consults the L2, so both caches end as the
+// per-reference walk (L1D, then L2 on a miss) leaves them. addrs is
+// overwritten: its prefix ends up holding the L1D misses.
+func (h *Hierarchy) DataPass(addrs []uint64) (l2Hits, mem int) { return h.pass(h.L1D, addrs) }
 
-// Fetch performs an instruction access: L1I first, then L2, then memory.
-func (h *Hierarchy) Fetch(addr uint64) AccessResult {
-	if h.L1I.Access(addr) {
-		return HitL1
+// FetchPass is DataPass for instruction fetches, through the L1I.
+func (h *Hierarchy) FetchPass(addrs []uint64) (l2Hits, mem int) { return h.pass(h.L1I, addrs) }
+
+func (h *Hierarchy) pass(l1 *Cache, addrs []uint64) (l2Hits, mem int) {
+	for _, a := range l1.AccessBatch(addrs) {
+		if h.L2.Access(a) {
+			l2Hits++
+		} else {
+			mem++
+		}
 	}
-	if h.L2.Access(addr) {
-		return HitL2
-	}
-	return HitMemory
+	return l2Hits, mem
 }
 
 // ResetStats clears counters at every level. Note that for a shared L2 this

@@ -83,37 +83,69 @@ func TestHierarchyValidation(t *testing.T) {
 	}
 }
 
+// level is where the per-reference walk served a reference.
+type level int
+
+const (
+	inL1 level = iota
+	inL2
+	inMemory
+)
+
+// refAccess is the per-reference walk the hierarchy passes batch: the L1
+// first, then the L2 on a miss.
+func refAccess(l1 *Cache, l2 Level2, addr uint64) level {
+	if l1.Access(addr) {
+		return inL1
+	}
+	if l2.Access(addr) {
+		return inL2
+	}
+	return inMemory
+}
+
+// served classifies a one-reference pass.
+func served(l2Hits, mem int) level {
+	switch {
+	case mem == 1:
+		return inMemory
+	case l2Hits == 1:
+		return inL2
+	}
+	return inL1
+}
+
 func TestHierarchyDataPath(t *testing.T) {
 	h := newTestHierarchy(t)
 	addr := uint64(0x12340)
-	if r := h.Data(addr); r != HitMemory {
-		t.Errorf("cold access = %v, want HitMemory", r)
+	if r := served(h.DataPass([]uint64{addr})); r != inMemory {
+		t.Errorf("cold access = %v, want memory", r)
 	}
-	if r := h.Data(addr); r != HitL1 {
-		t.Errorf("warm access = %v, want HitL1", r)
+	if r := served(h.DataPass([]uint64{addr})); r != inL1 {
+		t.Errorf("warm access = %v, want L1", r)
 	}
 	// Evict from tiny L1 by sweeping conflicting blocks; L2 retains it.
 	l1sets := h.L1D.Config().Sets()
 	stride := uint64(l1sets * h.L1D.Config().BlockBytes)
 	for i := 1; i <= h.L1D.Config().Assoc; i++ {
-		h.Data(addr + uint64(i)*stride)
+		h.DataPass([]uint64{addr + uint64(i)*stride})
 	}
-	if r := h.Data(addr); r != HitL2 {
-		t.Errorf("post-L1-eviction access = %v, want HitL2", r)
+	if r := served(h.DataPass([]uint64{addr})); r != inL2 {
+		t.Errorf("post-L1-eviction access = %v, want L2", r)
 	}
 }
 
 func TestHierarchyFetchPath(t *testing.T) {
 	h := newTestHierarchy(t)
-	if r := h.Fetch(0x400000); r != HitMemory {
+	if r := served(h.FetchPass([]uint64{0x400000})); r != inMemory {
 		t.Errorf("cold fetch = %v", r)
 	}
-	if r := h.Fetch(0x400000); r != HitL1 {
+	if r := served(h.FetchPass([]uint64{0x400000})); r != inL1 {
 		t.Errorf("warm fetch = %v", r)
 	}
 	// Fetch and Data use separate L1s.
-	if r := h.Data(0x400000); r != HitL2 {
-		t.Errorf("data access to fetched block = %v, want HitL2", r)
+	if r := served(h.DataPass([]uint64{0x400000})); r != inL2 {
+		t.Errorf("data access to fetched block = %v, want L2", r)
 	}
 }
 
@@ -134,9 +166,9 @@ func TestHierarchySharedL2AcrossCores(t *testing.T) {
 		return h
 	}
 	c1, c2 := mk(), mk()
-	c1.Data(0x9000)
-	if r := c2.Data(0x9000); r != HitL2 {
-		t.Errorf("cross-core shared access = %v, want HitL2", r)
+	c1.DataPass([]uint64{0x9000})
+	if r := served(c2.DataPass([]uint64{0x9000})); r != inL2 {
+		t.Errorf("cross-core shared access = %v, want L2", r)
 	}
 }
 
@@ -147,12 +179,12 @@ func TestHierarchyLevelConsistencyProperty(t *testing.T) {
 	r := stats.NewRand(77)
 	for i := 0; i < 5000; i++ {
 		addr := uint64(r.Intn(1 << 20))
-		inL1 := h.L1D.Probe(addr)
-		res := h.Data(addr)
-		if inL1 && res != HitL1 {
+		inCache := h.L1D.Probe(addr)
+		res := served(h.DataPass([]uint64{addr}))
+		if inCache && res != inL1 {
 			t.Fatalf("block in L1 reported as %v", res)
 		}
-		if !inL1 && res == HitL1 {
+		if !inCache && res == inL1 {
 			t.Fatal("L1 hit reported for absent block")
 		}
 	}

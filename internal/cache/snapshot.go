@@ -30,15 +30,16 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.U64(c.stats.Evictions)
 }
 
-// Restore reads state written by Snapshot into a cache of identical
-// geometry, rejecting length mismatches.
+// Restore reads state written by Snapshot straight into a cache of
+// identical geometry, rejecting length mismatches. On error the cache may
+// be left partly written.
 func (c *Cache) Restore(d *snapshot.Decoder) error {
 	d.Tag(snapshot.TagCache)
-	tags := d.U64s()
-	order := d.U64s()
-	sigs := d.U64s()
-	pref := d.U64s()
-	size := d.I32s()
+	d.U64sInto(c.tags)
+	d.U64sInto(c.order) // nil for wide caches: length 0
+	d.U64sInto(c.sigs)
+	d.U64sInto(c.pref)
+	d.I32sInto(c.size)
 	prefLive := d.Bool()
 	var st Stats
 	st.Accesses = d.U64()
@@ -48,23 +49,11 @@ func (c *Cache) Restore(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if len(tags) != len(c.tags) || len(order) != len(c.order) ||
-		len(sigs) != len(c.sigs) || len(pref) != len(c.pref) || len(size) != len(c.size) {
-		return snapshot.ShapeErrorf(
-			"cache arrays (%d/%d/%d/%d/%d) do not match target geometry (%d/%d/%d/%d/%d)",
-			len(tags), len(order), len(sigs), len(pref), len(size),
-			len(c.tags), len(c.order), len(c.sigs), len(c.pref), len(c.size))
-	}
-	for s, n := range size {
+	for s, n := range c.size {
 		if n < 0 || int(n) > c.assoc {
 			return snapshot.ShapeErrorf("set %d fill count %d outside [0, %d]", s, n, c.assoc)
 		}
 	}
-	copy(c.tags, tags)
-	copy(c.order, order)
-	copy(c.sigs, sigs)
-	copy(c.pref, pref)
-	copy(c.size, size)
 	c.prefLive = prefLive
 	c.stats = st
 	return nil
@@ -115,20 +104,16 @@ func (p *StreamPrefetcher) Restore(d *snapshot.Decoder) error {
 	if err := p.inner.Restore(d); err != nil {
 		return err
 	}
-	streams := d.U64s()
+	d.U64sInto(p.streams)
 	nextSlot := d.Int()
 	issued := d.U64()
 	useful := d.U64()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if len(streams) != len(p.streams) {
-		return snapshot.ShapeErrorf("%d prefetch streams in snapshot, target has %d", len(streams), len(p.streams))
-	}
 	if nextSlot < 0 || (len(p.streams) > 0 && nextSlot >= len(p.streams)) {
 		return snapshot.ShapeErrorf("prefetch slot cursor %d outside table of %d", nextSlot, len(p.streams))
 	}
-	copy(p.streams, streams)
 	p.nextSlot = nextSlot
 	p.issued = issued
 	p.useful = useful

@@ -36,8 +36,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// validity (the sticky error makes them no-ops after a failure,
 		// which is exactly the code path restores rely on).
 		d.Tag(TagCache)
-		_ = d.U64s()
-		_ = d.I32s()
+		d.U64sInto(make([]uint64, 3))
+		d.I32sInto(make([]int32, 2))
 		_ = d.F64s()
 		_ = d.Ints()
 		_ = d.Bool()

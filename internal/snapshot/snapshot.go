@@ -29,9 +29,11 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Magic opens every snapshot file ("CPMS" in little-endian byte order).
@@ -108,6 +110,11 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// NewEncoderSize returns an empty encoder whose buffer starts with room for
+// n bytes, so an encoding of known size (a checkpoint the size of the
+// previous one, say) is built in one allocation.
+func NewEncoderSize(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n)} }
+
 // Bytes returns the encoded buffer. The slice aliases the encoder's
 // internal buffer; further encoding may grow (and re-allocate) it.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -158,35 +165,44 @@ func (e *Encoder) String(s string) {
 // Tag opens a section.
 func (e *Encoder) Tag(t uint32) { e.U32(t) }
 
+// words grows the buffer once for a length prefix of n and n elements of
+// size bytes each, writes the prefix, and returns the elements' bytes.
+func (e *Encoder) words(n, size int) []byte {
+	e.U32(uint32(n))
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, n*size)[:at+n*size]
+	return e.buf[at:]
+}
+
 // U64s appends a length-prefixed []uint64.
 func (e *Encoder) U64s(v []uint64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U64(x)
+	b := e.words(len(v), 8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 }
 
 // F64s appends a length-prefixed []float64 (raw bits per element).
 func (e *Encoder) F64s(v []float64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.F64(x)
+	b := e.words(len(v), 8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
 // I32s appends a length-prefixed []int32.
 func (e *Encoder) I32s(v []int32) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.U32(uint32(x))
+	b := e.words(len(v), 4)
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
 
 // Ints appends a length-prefixed []int (int64 per element).
 func (e *Encoder) Ints(v []int) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.Int(x)
+	b := e.words(len(v), 8)
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
 
@@ -362,17 +378,50 @@ func (d *Decoder) Tag(want uint32) {
 	}
 }
 
-// U64s reads a length-prefixed []uint64.
-func (d *Decoder) U64s() []uint64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
+// into reads a slice length prefix that must equal n, the length of the
+// caller's target, and returns the n elements' bytes (size bytes each).
+// A different length is a shape error; too few bytes left is truncation.
+func (d *Decoder) into(n, size int) ([]byte, bool) {
+	at := d.off
+	got := int(d.U32())
+	if d.err != nil {
+		return nil, false
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = d.U64()
+	if got != n {
+		d.Fail("slice length %d at offset %d, target holds %d", got, at, n)
+		return nil, false
 	}
-	return out
+	if !d.need(n * size) {
+		return nil, false
+	}
+	b := d.buf[d.off : d.off+n*size]
+	d.off += n * size
+	return b, true
+}
+
+// U64sInto reads a length-prefixed []uint64 written by Encoder.U64s
+// straight into dst, whose length the prefix must equal. On error dst may
+// be left partly written.
+func (d *Decoder) U64sInto(dst []uint64) {
+	b, ok := d.into(len(dst), 8)
+	if !ok {
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+}
+
+// I32sInto reads a length-prefixed []int32 straight into dst (see
+// U64sInto).
+func (d *Decoder) I32sInto(dst []int32) {
+	b, ok := d.into(len(dst), 4)
+	if !ok {
+		return
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
 }
 
 // F64s reads a length-prefixed []float64.
@@ -384,19 +433,6 @@ func (d *Decoder) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = d.F64()
-	}
-	return out
-}
-
-// I32s reads a length-prefixed []int32.
-func (d *Decoder) I32s() []int32 {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.U32())
 	}
 	return out
 }

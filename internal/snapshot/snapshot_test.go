@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -56,9 +57,9 @@ func (r *record) decode(d *Decoder) {
 	r.G = d.F64()
 	r.GB = math.Float64bits(d.F64())
 	r.S = d.String()
-	r.U = d.U64s()
+	d.U64sInto(r.U)
 	r.X = d.F64s()
-	r.I = d.I32s()
+	d.I32sInto(r.I)
 	r.N = d.Ints()
 }
 
@@ -71,7 +72,8 @@ func TestRoundTripProperty(t *testing.T) {
 		e1 := NewEncoder()
 		r.encode(e1)
 		d := NewDecoder(e1.Bytes())
-		var got record
+		// The in-place readers decode into targets of the encoded shape.
+		got := record{U: make([]uint64, len(r.U)), I: make([]int32, len(r.I))}
 		got.decode(d)
 		if d.Err() != nil {
 			t.Logf("decode error: %v", d.Err())
@@ -175,9 +177,9 @@ func TestLengthPrefixBounded(t *testing.T) {
 	e := NewEncoder()
 	e.U32(0xffffffff) // absurd element count, no payload
 	for _, dec := range []func(*Decoder){
-		func(d *Decoder) { d.U64s() },
+		func(d *Decoder) { d.U64sInto(make([]uint64, 2)) },
 		func(d *Decoder) { d.F64s() },
-		func(d *Decoder) { d.I32s() },
+		func(d *Decoder) { d.I32sInto(make([]int32, 2)) },
 		func(d *Decoder) { d.Ints() },
 		func(d *Decoder) { _ = d.String() },
 	} {
@@ -202,14 +204,78 @@ func TestEmptySlicesRoundTrip(t *testing.T) {
 	e.U64s(nil)
 	e.F64s([]float64{})
 	d := NewDecoder(e.Bytes())
-	if got := d.U64s(); got != nil {
-		t.Errorf("empty U64s decoded as %v", got)
-	}
+	d.U64sInto(nil)
 	if got := d.F64s(); got != nil {
 		t.Errorf("empty F64s decoded as %v", got)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntoReaders: the in-place readers decode into the caller's slice,
+// refuse a length prefix that differs from it as a shape error, and report
+// a prefix that matches but overruns the input as truncation.
+func TestIntoReaders(t *testing.T) {
+	e := NewEncoder()
+	e.U64s([]uint64{1, 1 << 63, 3})
+	e.I32s([]int32{-4, 5})
+	d := NewDecoder(e.Bytes())
+	u, i := make([]uint64, 3), make([]int32, 2)
+	d.U64sInto(u)
+	d.I32sInto(i)
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("err %v, %d bytes left", err, d.Remaining())
+	}
+	if u[0] != 1 || u[1] != 1<<63 || u[2] != 3 || i[0] != -4 || i[1] != 5 {
+		t.Errorf("decoded %v %v", u, i)
+	}
+
+	for _, n := range []int{2, 4} {
+		d := NewDecoder(e.Bytes())
+		d.U64sInto(make([]uint64, n))
+		if err := d.Err(); !errors.Is(err, ErrShape) {
+			t.Errorf("3 words into a target of %d: err %v, want a shape error", n, err)
+		}
+	}
+	d = NewDecoder(e.Bytes()[:20])
+	d.U64sInto(make([]uint64, 3))
+	if err := d.Err(); err == nil || errors.Is(err, ErrShape) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("truncated words: err %v, want truncation", err)
+	}
+}
+
+// TestBulkWritersMatchScalar pins the bulk slice writers to the byte
+// layout of a length prefix followed by one scalar write per element.
+func TestBulkWritersMatchScalar(t *testing.T) {
+	u := []uint64{0, 1, 0xdeadbeef_01234567, ^uint64(0)}
+	x := []float64{math.NaN(), math.Inf(-1), -0.0, 1.5}
+	i32 := []int32{-1, 0, 1 << 30, -1 << 31}
+	n := []int{-7, 0, 1 << 40}
+	bulk := NewEncoderSize(3)
+	bulk.U64s(u)
+	bulk.F64s(x)
+	bulk.I32s(i32)
+	bulk.Ints(n)
+	scalar := NewEncoder()
+	scalar.U32(uint32(len(u)))
+	for _, v := range u {
+		scalar.U64(v)
+	}
+	scalar.U32(uint32(len(x)))
+	for _, v := range x {
+		scalar.F64(v)
+	}
+	scalar.U32(uint32(len(i32)))
+	for _, v := range i32 {
+		scalar.U32(uint32(v))
+	}
+	scalar.U32(uint32(len(n)))
+	for _, v := range n {
+		scalar.Int(v)
+	}
+	if !bytes.Equal(bulk.Bytes(), scalar.Bytes()) {
+		t.Errorf("bulk writers encode\n%x\nscalar writes encode\n%x", bulk.Bytes(), scalar.Bytes())
 	}
 }
 

@@ -42,10 +42,39 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// gamma is splitmix64's state increment: the state is a counter, so the
+// i-th draw ahead is a pure function of the current state.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	return mix64(r.state)
+}
+
+// Ahead returns the draw i places ahead without advancing the stream:
+// Ahead(0) is what the next Uint64 call returns, Ahead(1) the call after
+// it. Together with Skip it lets a loop compute every draw a step might
+// consume and then advance by the number it did consume, without a branch.
+func (r *Rand) Ahead(i uint64) uint64 { return mix64(r.state + (i+1)*gamma) }
+
+// Skip advances the stream past n draws, as n Uint64 calls would.
+func (r *Rand) Skip(n uint64) { r.state += n * gamma }
+
+// BoolThreshold returns the integer form of Bool's test: Bool(p) on the
+// draw u is true exactly when u>>11 < BoolThreshold(p). Float64 is
+// u>>11 scaled by 2^-53 with no rounding, so Float64() < p is
+// u>>11 < p·2^53, and for an integer that is u>>11 < ceil(p·2^53); p·2^53
+// is itself exact. A p that is NaN or at most 0 is never met (threshold
+// 0); one at least 1 always is (2^53, above every u>>11).
+func BoolThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Float64 returns a uniform value in [0, 1).

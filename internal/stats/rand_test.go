@@ -192,3 +192,56 @@ func TestBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) hit rate = %v", frac)
 	}
 }
+
+// TestBoolThresholdMatchesFloatTest: the integer threshold decides Bool's
+// Float64() < p exactly, at draws on both sides of the threshold, for edge
+// probabilities and random ones.
+func TestBoolThresholdMatchesFloatTest(t *testing.T) {
+	ps := []float64{0, math.SmallestNonzeroFloat64, 0x1p-53, 0.04, 0.5, math.Nextafter(1, 0), 1}
+	r := NewRand(31)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, r.Float64())
+	}
+	for _, p := range ps {
+		th := BoolThreshold(p)
+		// x is u>>11: probe around the threshold and at the ends.
+		xs := []uint64{0, 1, 1<<53 - 1}
+		for d := uint64(0); d < 3; d++ {
+			if th >= d {
+				xs = append(xs, th-d)
+			}
+			if th+d < 1<<53 {
+				xs = append(xs, th+d)
+			}
+		}
+		for _, x := range xs {
+			u := x<<11 | r.Uint64()>>53 // any low bits: Float64 drops them
+			want := float64(u>>11)/(1<<53) < p
+			if got := u>>11 < th; got != want {
+				t.Errorf("p=%g (threshold %d) at u>>11=%d: integer test %v, Float64() < p %v", p, th, x, got, want)
+			}
+		}
+	}
+}
+
+// TestAheadAndSkip: Ahead(i) is the i-th next Uint64 without advancing,
+// and Skip(n) lands where n Uint64 calls do.
+func TestAheadAndSkip(t *testing.T) {
+	a, b := NewRand(5), NewRand(5)
+	for n := uint64(0); n < 5; n++ {
+		ahead := []uint64{a.Ahead(0), a.Ahead(1), a.Ahead(2)}
+		for i, want := range ahead {
+			if got := b.Uint64(); got != want {
+				t.Fatalf("skip %d: Ahead(%d) = %#x, Uint64 gives %#x", n, i, want, got)
+			}
+		}
+		a.Skip(3)
+		a.Skip(n)
+		for i := uint64(0); i < n; i++ {
+			b.Uint64()
+		}
+		if a.State() != b.State() {
+			t.Fatalf("Skip(%d): state %#x, %d draws give %#x", n, a.State(), n, b.State())
+		}
+	}
+}

@@ -16,15 +16,16 @@
 // is pinned by the golden kill-equivalence suite in internal/check.
 //
 // Checkpoints are self-describing snapshot files (Header kind
-// "sweepd-point", fingerprint = the point name) whose body is covered by an
-// FNV-1a integrity digest, so truncation, bit flips, or a checkpoint from
+// "sweepd-point/2", fingerprint = the point name) whose body is covered by a
+// CRC-32C integrity digest, so truncation, bit flips, or a checkpoint from
 // the wrong point always fail restore with an error — never a divergent
 // resume. cpmsim's checkpoint files use the same format.
 package sweepd
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 
 	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/snapshot"
@@ -32,8 +33,10 @@ import (
 
 // CheckpointKind tags sweepd point checkpoints in the snapshot header so a
 // session or chip snapshot handed to RestoreCheckpoint (or vice versa)
-// fails loudly instead of misparsing.
-const CheckpointKind = "sweepd-point"
+// fails loudly instead of misparsing. The "/2" marks the CRC-32C digest: a
+// checkpoint of the earlier FNV-1a format ("sweepd-point") is refused as
+// the wrong kind, not as a corrupt one.
+const CheckpointKind = "sweepd-point/2"
 
 // State is ancillary checkpointable state carried alongside a point's
 // session — typically stateful observers such as check.Golden, whose
@@ -66,36 +69,57 @@ type Point struct {
 	Build func() (*Instance, error)
 }
 
-// bodyDigest is the integrity digest over the checkpoint body. FNV-1a
-// matches the repo's golden-digest hash and detects the corruption classes
-// shape checks cannot: bit flips inside float payloads decode to legal but
-// wrong values, so restore must refuse anything whose bytes changed.
+// castagnoli is the CRC-32C table; crc32 computes it with the CPU's CRC
+// instructions where they exist.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// bodyDigest is the integrity digest over the checkpoint body, CRC-32C
+// zero-extended into the 8-byte digest field. It detects the corruption
+// classes shape checks cannot: bit flips inside float payloads decode to
+// legal but wrong values, so restore must refuse anything whose bytes
+// changed. CRC-32C is the standard storage checksum, detects every burst
+// error of up to 32 bits, and runs at memory speed, where a byte-serial
+// hash cost a checkpoint as much as encoding it.
 func bodyDigest(body []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(body)
-	return h.Sum64()
+	return uint64(crc32.Checksum(body, castagnoli))
 }
 
 // EncodeCheckpoint captures inst at its current interval boundary as a
 // self-describing checkpoint for p. Layout: snapshot header (kind
-// "sweepd-point", fingerprint = point name), the body's FNV-1a digest, then
-// the body blob — completed-interval count, session snapshot, aux count,
-// aux states.
+// CheckpointKind, fingerprint = point name), the body's digest, then the
+// body blob — completed-interval count, session snapshot, aux count, aux
+// states.
 func EncodeCheckpoint(p Point, inst *Instance) ([]byte, error) {
-	body := snapshot.NewEncoder()
-	body.Int(inst.Session.Completed())
-	if err := inst.Session.Snapshot(body); err != nil {
+	return encodeCheckpoint(p, inst, 0)
+}
+
+// encodeCheckpoint is EncodeCheckpoint into one buffer sized from sizeHint,
+// the size of the point's previous checkpoint. A point's checkpoints grow
+// only by per-epoch records (about 100 bytes an epoch for a Mix-1 session
+// of 765 KB), so 1/64 of headroom keeps the next one in a single
+// allocation. The digest and blob-length fields are reserved ahead of the
+// body, which is encoded straight after them, and patched once it is
+// complete.
+func encodeCheckpoint(p Point, inst *Instance, sizeHint int) ([]byte, error) {
+	e := snapshot.NewEncoderSize(sizeHint + sizeHint/64)
+	e.Header(snapshot.Header{Kind: CheckpointKind, Fingerprint: p.Name})
+	fields := e.Len()
+	e.U64(0) // digest
+	e.U32(0) // body length
+	start := e.Len()
+	e.Int(inst.Session.Completed())
+	if err := inst.Session.Snapshot(e); err != nil {
 		return nil, fmt.Errorf("sweepd: checkpointing %s: %w", p.Name, err)
 	}
-	body.Int(len(inst.Aux))
+	e.Int(len(inst.Aux))
 	for _, a := range inst.Aux {
-		a.Snapshot(body)
+		a.Snapshot(e)
 	}
-	e := snapshot.NewEncoder()
-	e.Header(snapshot.Header{Kind: CheckpointKind, Fingerprint: p.Name})
-	e.U64(bodyDigest(body.Bytes()))
-	e.Blob(body.Bytes())
-	return e.Bytes(), nil
+	b := e.Bytes()
+	body := b[start:]
+	binary.LittleEndian.PutUint64(b[fields:], bodyDigest(body))
+	binary.LittleEndian.PutUint32(b[fields+8:], uint32(len(body)))
+	return b, nil
 }
 
 // RestoreCheckpoint restores a checkpoint produced by EncodeCheckpoint into

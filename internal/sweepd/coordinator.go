@@ -232,9 +232,11 @@ func (c *Coordinator) Run() ([]engine.Summary, error) {
 				c.logf("worker %d died on %s at interval %d; migrating (resume from %s)", ev.worker, c.points[ev.point].Name, ev.interval, from)
 			case evDone:
 				c.sums[ev.point] = ev.sum
+				c.latest[ev.point] = nil // never migrated again
 				remaining--
 			case evFail:
 				c.errs[ev.point] = ev.err
+				c.latest[ev.point] = nil // never restarted
 				remaining--
 			}
 		}
@@ -286,16 +288,18 @@ func (c *Coordinator) execute(id int, t task, events chan<- event) (died bool) {
 			return false
 		}
 	}
-	return c.drive(id, t.point, inst, events)
+	return c.drive(id, t.point, inst, len(t.ckpt), events)
 }
 
 // drive steps the instance interval by interval: fire any planned kill at
 // the boundary first (a crash loses the work since the last checkpoint,
 // which the migrated incarnation re-executes deterministically), then
-// checkpoint on cadence. Panics out of the simulation are contained here:
-// the point fails with an error naming it and carrying the stack, while the
-// process and every other point continue.
-func (c *Coordinator) drive(id, point int, inst *Instance, events chan<- event) (died bool) {
+// checkpoint on cadence. Each checkpoint is encoded into one buffer sized
+// by the point's previous one, or by the checkpoint it restored from
+// (ckptSize; 0 on a cold start). Panics out of the simulation are
+// contained here: the point fails with an error naming it and carrying the
+// stack, while the process and every other point continue.
+func (c *Coordinator) drive(id, point int, inst *Instance, ckptSize int, events chan<- event) (died bool) {
 	p := c.points[point]
 	var sum engine.Summary
 	err := func() (err error) {
@@ -322,10 +326,11 @@ func (c *Coordinator) drive(id, point int, inst *Instance, events chan<- event) 
 				return nil
 			}
 			if k%c.ckEvery == 0 && k < sess.TotalIntervals() {
-				data, err := EncodeCheckpoint(p, inst)
+				data, err := encodeCheckpoint(p, inst, ckptSize)
 				if err != nil {
 					return fmt.Errorf("checkpoint at interval %d: %w", k, err)
 				}
+				ckptSize = len(data)
 				events <- event{kind: evCheckpoint, worker: id, point: point, interval: k, data: data}
 			}
 		}

@@ -225,6 +225,38 @@ func TestCoordinatorPanicContainment(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReleasesFinishedPoints: once a point is done or has
+// failed, the coordinator drops its last checkpoint (a finished point is
+// never migrated again, a failed one never restarts), so the memory a
+// sweep holds does not grow with its point count.
+func TestCoordinatorReleasesFinishedPoints(t *testing.T) {
+	pts, _ := testPoints(t, 3)
+	bomb := engine.Funcs{OnStep: func(s engine.Step) {
+		if s.Index == 30 {
+			panic("injected fault")
+		}
+	}}
+	pts[1].Build = func() (*Instance, error) {
+		inst, _, err := buildTestInstance(2, bomb)
+		return inst, err
+	}
+	c, err := New(pts, Config{Workers: 2, CheckpointEvery: 5, KillEvery: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "pt-b") {
+		t.Fatalf("Run error = %v, want point pt-b's failure", err)
+	}
+	if st := c.Stats(); st.Checkpoints == 0 || st.Restores == 0 {
+		t.Fatalf("stats %+v: the run must checkpoint and restore", st)
+	}
+	for i, ck := range c.latest {
+		if ck != nil {
+			t.Errorf("point %d (%s) still holds its %d-byte checkpoint after Run", i, pts[i].Name, len(ck))
+		}
+	}
+}
+
 // TestCoordinatorBoundaryCheck: an Instance.Check error fails the point at
 // the next interval boundary instead of letting a later checkpoint migrate
 // past it.

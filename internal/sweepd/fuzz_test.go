@@ -10,7 +10,7 @@ import (
 // with an error or restore a state whose re-encoding is byte-identical to
 // the input — never a silently divergent resume. Truncations, bit flips,
 // and wrong-fingerprint headers all land in the reject arm via the header,
-// shape, and FNV-1a integrity checks.
+// shape, and CRC-32C integrity checks.
 func FuzzCheckpointRestore(f *testing.F) {
 	point := Point{Name: "fuzz-point", Build: func() (*Instance, error) {
 		inst, _, err := buildTestInstance(5)

@@ -205,25 +205,9 @@ type TraceRecord struct {
 func (c *Core) SampleInterval() TraceRecord {
 	ph := c.phases.Next()
 	c.dataBuf = c.streams.DataAddrs(c.cfg.DataSampleRefs, ph, c.dataBuf)
-	var dL2, dMem int
-	for _, a := range c.dataBuf {
-		switch c.hier.Data(a) {
-		case cache.HitL2:
-			dL2++
-		case cache.HitMemory:
-			dMem++
-		}
-	}
+	dL2, dMem := c.hier.DataPass(c.dataBuf)
 	c.fetchBuf = c.streams.FetchAddrs(c.cfg.FetchSampleRefs, c.fetchBuf)
-	var fL2, fMem int
-	for _, a := range c.fetchBuf {
-		switch c.hier.Fetch(a) {
-		case cache.HitL2:
-			fL2++
-		case cache.HitMemory:
-			fMem++
-		}
-	}
+	fL2, fMem := c.hier.FetchPass(c.fetchBuf)
 	dn := float64(c.cfg.DataSampleRefs)
 	fn := float64(c.cfg.FetchSampleRefs)
 

@@ -39,8 +39,6 @@ func (v divisor) mod(x uint64) uint64 {
 	// floor((pHi:pLo * d) / 2^128): the top word of the 192-bit product
 	hh, hl := bits.Mul64(pHi, v.d)
 	carry, _ := bits.Mul64(pLo, v.d)
-	if hl+carry < hl {
-		hh++
-	}
-	return hh
+	_, c := bits.Add64(hl, carry, 0)
+	return hh + c
 }

@@ -61,10 +61,11 @@ func FuzzParseMix(f *testing.F) {
 }
 
 // FuzzStreamAddrs drives the address-stream generator with arbitrary seeds,
-// cores, profiles and phase intensities. Properties: no panics, and every
+// cores, profiles and phase intensities. Properties: no panics, every
 // generated address stays inside the owning core's private segment — data
 // within the working set above dataBase, fetches within the code footprint
-// above codeBase — so streams from different cores can never alias.
+// above codeBase — so streams from different cores can never alias, and
+// the data stream is draw for draw the branchy reference loop's.
 func FuzzStreamAddrs(f *testing.F) {
 	f.Add(uint64(1), 0, 0, 64, 1.0)
 	f.Add(uint64(42), 7, 3, 1, 0.25)
@@ -138,5 +139,17 @@ func FuzzStreamAddrs(f *testing.F) {
 				t.Fatalf("stream not reproducible at %d: %#x != %#x", i, data[i], data2[i])
 			}
 		}
+
+		// Two more batches against the branchy reference, the second in
+		// a different phase.
+		ref, err := NewStreamGen(seed, coreID, p)
+		if err != nil {
+			t.Fatalf("NewStreamGen rejected registry profile %s: %v", p.Name, err)
+		}
+		branchyDataAddrs(ref, n, ph, nil)
+		ph2 := ph
+		ph2.MemMult /= 2
+		checkAgainstBranchy(t, "second batch", g2, ref, n, ph)
+		checkAgainstBranchy(t, "third batch, halved phase", g2, ref, n, ph2)
 	})
 }

@@ -80,26 +80,40 @@ func (s *StreamGen) DataAddrs(n int, ph Phase, dst []uint64) []uint64 {
 		s.coldDiv = newDivisor(blocks)
 		s.coldMult = ph.MemMult
 	}
-	rng := s.rng
-	seqF, hotF := s.profile.SeqFraction, s.profile.HotFraction
+	// A sequential reference consumes one draw (the sequential test); a
+	// hot or cold one three (that test, the hot test, the block). Every
+	// reference computes all three from the draws ahead, selects its
+	// address with masks and skips the draws it consumed, so the loop has
+	// no data-dependent branch and the stream is draw-for-draw the one the
+	// tests in this order would produce.
+	seqT := stats.BoolThreshold(s.profile.SeqFraction)
+	hotT := stats.BoolThreshold(s.profile.HotFraction)
+	divs := [2]divisor{s.coldDiv, s.hotDiv}
+	rng := *s.rng
+	base, seqPos := s.dataBase, s.seqPos
 	for i := range dst {
-		switch {
-		case rng.Bool(seqF):
-			// seqPos stays below ws, so one conditional subtract is the
-			// wrap-around (ws is at least one block, far above the stride).
-			s.seqPos += seqStride
-			if s.seqPos >= ws {
-				s.seqPos -= ws
-			}
-			dst[i] = s.dataBase + s.seqPos
-		case rng.Bool(hotF):
-			dst[i] = s.dataBase + s.hotDiv.mod(rng.Uint64())*blockBytes
-		default:
-			dst[i] = s.dataBase + s.coldDiv.mod(rng.Uint64())*blockBytes
-		}
+		seq := lessMask(rng.Ahead(0)>>11, seqT)
+		hot := lessMask(rng.Ahead(1)>>11, hotT)
+		block := divs[hot&1].mod(rng.Ahead(2))
+		// seqPos stays below ws, so one conditional subtract is the
+		// wrap-around (ws is at least one block, far above the stride).
+		next := seqPos + seqStride
+		next -= ws &^ lessMask(next, ws)
+		seqPos = sel(seq, next, seqPos)
+		dst[i] = base + sel(seq, seqPos, block*blockBytes)
+		rng.Skip(3 - 2&seq)
 	}
+	*s.rng = rng
+	s.seqPos = seqPos
 	return dst
 }
+
+// lessMask returns all ones when a < b and zero otherwise; both must be
+// below 2^63.
+func lessMask(a, b uint64) uint64 { return uint64(int64(a-b) >> 63) }
+
+// sel returns a where mask is all ones and b where it is zero.
+func sel(mask, a, b uint64) uint64 { return b ^ (a^b)&mask }
 
 // FetchAddrs fills dst with n sampled instruction-fetch addresses.
 func (s *StreamGen) FetchAddrs(n int, dst []uint64) []uint64 {

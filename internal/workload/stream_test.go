@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/cpm-sim/cpm/internal/stats"
@@ -82,6 +83,96 @@ func TestStreamFastPathMatchesReference(t *testing.T) {
 				if fdst[i] != fwant[i] {
 					t.Fatalf("%s step %d: fetch addr %d = %#x, reference %#x", name, step, i, fdst[i], fwant[i])
 				}
+			}
+		}
+	}
+}
+
+// branchyDataAddrs is the data-address loop as it was before the
+// branch-free rewrite: one Bool test per behaviour, taken in order, so a
+// sequential reference consumes one draw and a hot or cold one three. It
+// advances s exactly as DataAddrs must.
+func branchyDataAddrs(s *StreamGen, n int, ph Phase, dst []uint64) []uint64 {
+	dst = grow(dst, n)
+	ws := s.profile.WorkingSetBytes
+	if ph.MemMult != s.coldMult {
+		blocks := uint64(float64(ws)*minf(1, ph.MemMult)) / blockBytes
+		if blocks == 0 {
+			blocks = 1
+		}
+		s.coldDiv = newDivisor(blocks)
+		s.coldMult = ph.MemMult
+	}
+	rng := s.rng
+	seqF, hotF := s.profile.SeqFraction, s.profile.HotFraction
+	for i := range dst {
+		switch {
+		case rng.Bool(seqF):
+			s.seqPos += seqStride
+			if s.seqPos >= ws {
+				s.seqPos -= ws
+			}
+			dst[i] = s.dataBase + s.seqPos
+		case rng.Bool(hotF):
+			dst[i] = s.dataBase + s.hotDiv.mod(rng.Uint64())*blockBytes
+		default:
+			dst[i] = s.dataBase + s.coldDiv.mod(rng.Uint64())*blockBytes
+		}
+	}
+	return dst
+}
+
+// checkAgainstBranchy generates n data addresses from g and from ref (a
+// generator in the same state) through the branchy reference, and fails
+// unless the addresses, the RNG states and the walk cursors agree.
+func checkAgainstBranchy(t *testing.T, what string, g, ref *StreamGen, n int, ph Phase) {
+	t.Helper()
+	got := g.DataAddrs(n, ph, nil)
+	want := branchyDataAddrs(ref, n, ph, nil)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d addresses, reference %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: data addr %d = %#x, reference %#x", what, i, got[i], want[i])
+		}
+	}
+	if g.rng.State() != ref.rng.State() || g.seqPos != ref.seqPos {
+		t.Fatalf("%s: rng state %#x, cursor %#x; reference %#x, %#x",
+			what, g.rng.State(), g.seqPos, ref.rng.State(), ref.seqPos)
+	}
+}
+
+// TestDataAddrsMatchesBranchyLoop pins the branch-free generator to the
+// branchy loop it replaced, draw for draw: every registry profile (and
+// each with a working set of a few blocks, so sequential walks wrap around
+// it), random seeds and cores, a phase that changes between calls, and
+// batch sizes 0, 1, 7 and 2048, with fetches interleaved as the interval
+// kernel does.
+func TestDataAddrsMatchesBranchyLoop(t *testing.T) {
+	r := stats.NewRand(2024)
+	var profiles []Profile
+	for _, name := range Names() {
+		p := MustByName(name)
+		small := p
+		small.Name += "-small"
+		small.WorkingSetBytes = 1000 + uint64(r.Intn(1000))
+		small.HotSetBytes = blockBytes * 4
+		profiles = append(profiles, p, small)
+	}
+	for _, p := range profiles {
+		name := p.Name
+		for trial := 0; trial < 3; trial++ {
+			seed, core := r.Uint64(), r.Intn(64)
+			g := mustStream(t, seed, core, p)
+			ref := mustStream(t, seed, core, p)
+			for step := 0; step < 12; step++ {
+				ph := NeutralPhase()
+				ph.MemMult = []float64{1, 0.3, 2.5, 1e-9, r.Range(0, 3)}[r.Intn(5)]
+				n := []int{0, 1, 7, 2048}[step%4]
+				checkAgainstBranchy(t, fmt.Sprintf("%s seed %#x core %d step %d", name, seed, core, step), g, ref, n, ph)
+				g.FetchAddrs(n, nil)
+				ref.FetchAddrs(n, nil)
 			}
 		}
 	}
