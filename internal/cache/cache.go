@@ -243,12 +243,14 @@ func (c *Cache) AccessBatch(addrs []uint64) []uint64 {
 }
 
 // accessBatch2 is AccessBatch for two-way caches. Both tags are compared
-// directly and every outcome is computed with masks: a sampled stream's
-// hits and misses follow no pattern a branch predictor can learn. Each reference stores the order word, the fill count, one tag
-// and the signature word whether it hit or not (a hit stores the values
-// already there), updated exactly as Access would: a hit moves its way's
-// nibble to the front, a miss fills the first empty way or the LRU one and
-// shifts the order word.
+// directly, way 0 first as in Access's scan, and every field changes as
+// Access changes it: a hit on the most recently used way, the common case
+// along a sequential run, stores nothing; a hit on the other way swaps the
+// order word's two nibbles; a miss fills the first empty way or evicts the
+// LRU one. Branches, not masks: a mask-selected form must store every
+// field on every reference, so consecutive references to one set chain
+// through those stores; it beat this loop only on a quiet host, and its
+// speed swung with the host's load.
 func (c *Cache) accessBatch2(addrs []uint64) []uint64 {
 	tags, order, sigs, size, pref := c.tags, c.order, c.sigs, c.size, c.pref
 	blockBits, setMask, setShift := c.blockBits, c.setMask, c.setShift
@@ -260,31 +262,39 @@ func (c *Cache) accessBatch2(addrs []uint64) []uint64 {
 		set := block & setMask
 		tag := block >> setShift
 		ways := tags[2*set : 2*set+2 : 2*set+2]
-		n := uint64(size[set])
+		n := size[set]
 		ord := order[set]
-		// Way 0 wins if both match, as in Access's low-to-high scan.
-		h0 := eqMask(ways[0], tag) & lessMask(0, n)
-		h1 := eqMask(ways[1], tag) & lessMask(1, n) &^ h0
-		hit := h0 | h1
-		w := h1 & 1
-		full := lessMask(1, n)
-		victim := sel(full, ord>>4&0xf, n)
-		// A hit on the way behind the MRU one swaps the two nibbles.
-		hitOrd := sel(^eqMask(ord&0xf, w), ord&^0xff|(ord&0xf)<<4|w, ord)
-		order[set] = sel(hit, hitOrd, ord<<4|victim)
-		way := sel(hit, w, victim) & 1
+		if n > 0 && ways[0] == tag {
+			hits++
+			if ord&0xf != 0 {
+				order[set] = ord&^0xff | (ord&0xf)<<4
+			}
+			continue
+		}
+		if n > 1 && ways[1] == tag {
+			hits++
+			if ord&0xf != 1 {
+				order[set] = ord&^0xff | (ord&0xf)<<4 | 1
+			}
+			continue
+		}
+		var way uint64
+		if n < 2 {
+			way = uint64(n)
+			size[set] = n + 1
+		} else {
+			evictions++
+			way = ord >> 4 & 1
+			if prefLive {
+				pref[set] &^= 1 << way
+			}
+		}
 		ways[way] = tag
+		order[set] = ord<<4 | way
 		sh := way * 8
 		sigs[set] = sigs[set]&^(0xff<<sh) | (tag&0xff)<<sh
-		miss := ^hit & 1
-		size[set] = int32(n + miss&^full)
-		evictions += miss & full
-		if prefLive {
-			pref[set] &^= (miss & full) << victim
-		}
-		hits += hit & 1
 		addrs[m] = addr
-		m += int(miss)
+		m++
 	}
 	c.stats.Accesses += uint64(len(addrs))
 	c.stats.Hits += hits
@@ -292,19 +302,6 @@ func (c *Cache) accessBatch2(addrs []uint64) []uint64 {
 	c.stats.Evictions += evictions
 	return addrs[:m]
 }
-
-// eqMask returns all ones when a == b and zero otherwise.
-func eqMask(a, b uint64) uint64 {
-	x := a ^ b
-	return (x|-x)>>63 - 1
-}
-
-// lessMask returns all ones when a < b and zero otherwise; both must be
-// below 2^63.
-func lessMask(a, b uint64) uint64 { return uint64(int64(a-b) >> 63) }
-
-// sel returns a where mask is all ones and b where it is zero.
-func sel(mask, a, b uint64) uint64 { return b ^ (a^b)&mask }
 
 // SWAR constants: byte and nibble lane units and high-bit masks.
 const (
