@@ -107,9 +107,11 @@ loc:
 	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
 	@echo "test Go lines:     $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
-# Regenerate the golden traces after an intentional behaviour change.
+# Regenerate the golden traces and the quick-report digests of every
+# experiment after an intentional behaviour change.
 golden:
 	$(GO) test ./internal/check -run TestGoldenScenarios -update
+	$(GO) test ./internal/experiments -run TestQuickReports -update
 
 # Telemetry of the golden cpm-default scenario in both exporter formats
 # (ci.yml uploads these as an informational artifact).

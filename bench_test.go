@@ -118,11 +118,13 @@ func BenchmarkMaxStableGainSearch(b *testing.B) {
 	}
 }
 
-// --- sampling ablation: sequential vs island-parallel sampling ------------
+// --- chip step: one chip sampling for itself, 8 and 32 cores --------------
 
-func benchSimStep(b *testing.B, mix workload.Mix, parallel bool) {
+// benchSimStep times one chip's step. The Sequential names are kept from
+// when island-parallel sampling had benchmarks of its own: benchreport's
+// sim_step_8core key and -against pairs select BenchmarkSimStep8Sequential.
+func benchSimStep(b *testing.B, mix workload.Mix) {
 	cfg := sim.DefaultConfig(mix)
-	cfg.Parallel = parallel
 	c, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -133,10 +135,8 @@ func benchSimStep(b *testing.B, mix workload.Mix, parallel bool) {
 	}
 }
 
-func BenchmarkSimStep8Sequential(b *testing.B)  { benchSimStep(b, workload.Mix1(), false) }
-func BenchmarkSimStep8Parallel(b *testing.B)    { benchSimStep(b, workload.Mix1(), true) }
-func BenchmarkSimStep32Sequential(b *testing.B) { benchSimStep(b, workload.Mix3(2), false) }
-func BenchmarkSimStep32Parallel(b *testing.B)   { benchSimStep(b, workload.Mix3(2), true) }
+func BenchmarkSimStep8Sequential(b *testing.B)  { benchSimStep(b, workload.Mix1()) }
+func BenchmarkSimStep32Sequential(b *testing.B) { benchSimStep(b, workload.Mix3(2)) }
 
 // --- sensor ablation: linear vs level-aware vs oracle feedback -------------
 
@@ -144,7 +144,6 @@ func BenchmarkSimStep32Parallel(b *testing.B)   { benchSimStep(b, workload.Mix3(
 // feedback estimators; the squared-error metric is the figure of merit.
 func benchTracking(b *testing.B, mode string) {
 	cfg := cpm.DefaultConfig(cpm.Mix1())
-	cfg.Parallel = true
 	cal, err := cpm.Calibrate(cfg, 60, 240)
 	if err != nil {
 		b.Fatal(err)
@@ -192,7 +191,6 @@ func BenchmarkAblationOraclePower(b *testing.B)          { benchTracking(b, "ora
 
 func benchPolicyThroughput(b *testing.B, mk func() gpm.Policy) {
 	cfg := cpm.DefaultConfig(cpm.Mix1())
-	cfg.Parallel = true
 	cal, err := cpm.Calibrate(cfg, 60, 240)
 	if err != nil {
 		b.Fatal(err)
@@ -256,7 +254,6 @@ func BenchmarkPolynomialRoots(b *testing.B) {
 
 func BenchmarkCalibration(b *testing.B) {
 	cfg := cpm.DefaultConfig(cpm.Mix1())
-	cfg.Parallel = true
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
 		if _, err := cpm.Calibrate(cfg, 20, 80); err != nil {
@@ -282,7 +279,6 @@ func BenchmarkExt3CalibratedExponent(b *testing.B) {
 // cost.
 func benchSubstrate(b *testing.B, mutate func(*sim.Config)) {
 	cfg := sim.DefaultConfig(workload.Mix1())
-	cfg.Parallel = true
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -346,7 +342,6 @@ func BenchmarkAblationReplayEngine(b *testing.B) {
 // into the fleet chips/sec and aggregate-speedup entries of BENCH_PR6.json.
 func benchFleetFarm(b *testing.B, nChips int) {
 	cfg := sim.DefaultConfig(workload.Mix1())
-	cfg.Parallel = false
 	sampler, err := sim.NewSampler(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -36,7 +36,8 @@ import (
 // suite lists the benchmarks the report tracks: the cache microbenches, the
 // address-stream generator, the end-to-end interval kernel, the fleet
 // rounds, unmanaged and managed, one 512-member managed Farm.Run, one Mix-1
-// calibration, and one checkpoint encode and restore.
+// calibration, one checkpoint encode and restore, and the Figure 15
+// harness in Quick mode (14 runs over two workload keys as one farm batch).
 var suite = []struct {
 	key   string // JSON key
 	bench string // exact benchmark name
@@ -54,6 +55,7 @@ var suite = []struct {
 	{"calibration_mix1", "BenchmarkCalibration", "."},
 	{"checkpoint_encode", "BenchmarkCheckpointEncode", "./internal/sweepd"},
 	{"checkpoint_restore", "BenchmarkCheckpointRestore", "./internal/sweepd"},
+	{"fig15_quick", "BenchmarkFig15Scaling", "./internal/experiments"},
 }
 
 // fleets maps the fleet-round keys to their chip counts; the report derives

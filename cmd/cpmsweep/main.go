@@ -35,7 +35,6 @@ import (
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/diag"
 	"github.com/cpm-sim/cpm/internal/engine"
-	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/snapshot"
@@ -258,33 +257,15 @@ func (o sweepOptions) verdict(sc check.Scenario, suite *check.Suite) error {
 	return nil
 }
 
-// runFarm is the default route: every point becomes one chip of a farm.
+// runFarm is the default route: the points run as one check.RunBatch.
 // All points share the sweep's workload identity (budget, controller and
 // initial DVFS level are compute-half state), so they collapse into one
 // sampler group and the sweep pays the sampling cost of a single run
-// instead of 1+2*len(budgets) runs, stepped on one worker. Chips are
-// bit-identical to sim.New chips, so the CSV is byte-identical to the
-// scalar oracle's.
+// instead of 1+2*len(budgets) runs, stepped on one worker. Batch runs are
+// bit-identical to sim.New runs, so the CSV is byte-identical to the
+// resilient route's.
 func runFarm(pts []check.Scenario, o sweepOptions, samplerState []byte, logw io.Writer) ([]engine.Summary, error) {
-	specs := make([]farm.ChipSpec, len(pts))
-	suites := make([]*check.Suite, len(pts))
-	for i, sc := range pts {
-		i, sc := i, sc
-		specs[i] = farm.ChipSpec{
-			Config: sc.BuildConfig(o.Seed),
-			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
-				sess, suite, err := sc.BuildOn(cmp, o.Seed)
-				suites[i] = suite
-				return sess, err
-			},
-		}
-	}
-	f, err := farm.New(specs, farm.Options{SamplerState: samplerState})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(logw, "farm: %d points in %d sampler group(s)\n", f.NumChips(), f.NumGroups())
-	sums, err := f.Run(engine.Pool{Workers: 1}, progressPrinter(logw))
+	sums, suites, err := check.RunBatch(pts, o.Seed, samplerState, progressPrinter(logw))
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,6 @@ func record(args []string) error {
 	}
 	cfg := sim.DefaultConfig(a.mix)
 	cfg.Seed = a.seed
-	cfg.Parallel = true
 	set, err := sim.RecordTraces(cfg, a.intervals)
 	if err != nil {
 		return err

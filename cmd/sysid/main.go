@@ -69,7 +69,6 @@ func main() {
 	}
 	cfg := sim.DefaultConfig(c.mix)
 	cfg.Seed = c.seed
-	cfg.Parallel = true
 
 	cal, err := core.Calibrate(cfg, 60, c.measure)
 	if err != nil {

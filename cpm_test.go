@@ -11,7 +11,6 @@ import (
 // way the doc comment advertises: calibrate, build, manage, observe.
 func TestPublicAPIQuickstart(t *testing.T) {
 	cfg := cpm.DefaultConfig(cpm.Mix1())
-	cfg.Parallel = true
 	cal, err := cpm.Calibrate(cfg, 40, 160)
 	if err != nil {
 		t.Fatal(err)

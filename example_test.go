@@ -13,7 +13,6 @@ import (
 // two-tier GPM+PIC controller.
 func Example_manage() {
 	cfg := cpm.DefaultConfig(cpm.Mix1()) // Table I chip, Mix-1 workload
-	cfg.Parallel = true
 
 	cal, err := cpm.Calibrate(cfg, 60, 240)
 	if err != nil {

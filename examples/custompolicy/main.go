@@ -54,7 +54,6 @@ func (p *energySaver) Provision(budgetW float64, obs []gpm.IslandObs) []float64 
 
 func main() {
 	cfg := sim.DefaultConfig(workload.Mix1())
-	cfg.Parallel = true
 	cal, err := core.Calibrate(cfg, 60, 240)
 	if err != nil {
 		log.Fatal(err)

@@ -17,7 +17,6 @@ func main() {
 	// 1. Describe the chip: Mix-1 pairs one CPU-bound with one memory-bound
 	//    PARSEC application on each of 4 two-core voltage/frequency islands.
 	cfg := sim.DefaultConfig(workload.Mix1())
-	cfg.Parallel = true
 
 	// 2. Offline system identification: unmanaged demand, utilization→power
 	//    transducers, plant gain.

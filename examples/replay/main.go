@@ -20,7 +20,6 @@ import (
 
 func main() {
 	base := sim.DefaultConfig(workload.Mix3(1))
-	base.Parallel = true
 
 	// Calibrate, and record the workload over the experiment horizon so the
 	// replay never wraps.

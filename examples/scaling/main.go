@@ -1,20 +1,19 @@
 // Scaling example: the Figure 15 configuration. A 32-core CMP (Mix-3
 // replicated twice: 8 four-core islands alternating CPU-bound and
-// memory-bound) is managed at an 80% budget. The example also demonstrates
-// parallel sampling: the chip's sampler samples islands concurrently with
-// bit-identical results to sequential sampling, which is what makes the
-// large configurations cheap to evaluate.
+// memory-bound) is managed at 70%, 80% and 90% budgets against the
+// unmanaged chip. The four runs share one workload, so they run as one
+// batch over one shared sampler (check.RunBatch): trace records do not
+// depend on the operating point, so the batch pays the sampling cost of a
+// single run, which is what makes the large configurations cheap to sweep.
 package main
 
 import (
 	"fmt"
 	"log"
-	"runtime"
 	"time"
 
-	"github.com/cpm-sim/cpm/internal/core"
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/engine"
-	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
 
@@ -22,56 +21,35 @@ func main() {
 	mix := workload.Mix3(2) // 32 cores, 8 islands
 	fmt.Printf("CMP: %d cores in %d islands (%s)\n\n", mix.Cores(), len(mix.Islands), mix.Name)
 
-	// Demonstrate sampling equivalence and speedup on the raw simulator.
-	const steps = 300
-	seqTime, seqPower := timeRun(mix, false, steps)
-	parTime, parPower := timeRun(mix, true, steps)
-	fmt.Printf("sequential sampling: %8v   mean power %.2f W\n", seqTime.Round(time.Millisecond), seqPower)
-	fmt.Printf("parallel sampling:   %8v   mean power %.2f W (identical: %v)\n",
-		parTime.Round(time.Millisecond), parPower, seqPower == parPower)
-	fmt.Printf("speedup: %.1fx on GOMAXPROCS=%d (islands scale with available cores)\n\n",
-		float64(seqTime)/float64(parTime), runtime.GOMAXPROCS(0))
+	const seed = 1
+	base := check.Scenario{
+		Name: "unmanaged", Mix: func() workload.Mix { return mix }, Unmanaged: true,
+		WarmEpochs: 6, MeasureEpochs: 16,
+	}
+	fracs := []float64{0.70, 0.80, 0.90}
+	scs := []check.Scenario{base}
+	for _, frac := range fracs {
+		sc := base
+		sc.Name, sc.Unmanaged, sc.BudgetFrac = fmt.Sprintf("cpm-%.0f%%", frac*100), false, frac
+		scs = append(scs, sc)
+	}
+	cal, err := scs[1].Calibration(seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// Manage the 32-core chip at an 80% budget.
-	cfg := sim.DefaultConfig(mix)
-	cfg.Parallel = true
-	cal, err := core.Calibrate(cfg, 60, 240)
-	if err != nil {
-		log.Fatal(err)
-	}
-	budget := cal.BudgetW(0.80)
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, err := core.New(cmp, core.Config{BudgetW: budget, Transducers: cal.Transducers})
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := engine.NewSession(engine.NewCPMRunner(c), engine.SessionConfig{
-		WarmEpochs: 6, MeasureEpochs: 16, BudgetW: budget, Label: "scaling",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sum := s.Run()
-	fmt.Printf("32-core chip at 80%% budget (%.1f W of %.1f W demand):\n", budget, cal.UnmanagedPowerW)
-	fmt.Printf("  mean power %.1f W (%+.1f%% vs budget)\n", sum.MeanPowerW, (sum.MeanPowerW-budget)/budget*100)
-	fmt.Printf("  throughput %.2f BIPS vs %.2f unmanaged (%.1f%% degradation)\n",
-		sum.MeanBIPS, cal.UnmanagedBIPS, (1-sum.MeanBIPS/cal.UnmanagedBIPS)*100)
-}
-
-func timeRun(mix workload.Mix, parallel bool, steps int) (time.Duration, float64) {
-	cfg := sim.DefaultConfig(mix)
-	cfg.Parallel = parallel
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	start := time.Now()
-	var power float64
-	for k := 0; k < steps; k++ {
-		power += cmp.Step().ChipPowerW / float64(steps)
+	sums, _, err := check.RunBatch(scs, seed, nil, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return time.Since(start), power
+	fmt.Printf("%d runs over one shared sampler in %v\n\n", len(scs), time.Since(start).Round(time.Millisecond))
+
+	fmt.Printf("unmanaged: %.1f W, %.2f BIPS\n", sums[0].MeanPowerW, sums[0].MeanBIPS)
+	for i, frac := range fracs {
+		sum, budget := sums[1+i], cal.BudgetW(frac)
+		fmt.Printf("%.0f%% budget (%.1f W): mean power %.1f W (%+.1f%% vs budget), %.2f BIPS (%.1f%% degradation)\n",
+			frac*100, budget, sum.MeanPowerW, (sum.MeanPowerW-budget)/budget*100,
+			sum.MeanBIPS, engine.Degradation(sum, sums[0])*100)
+	}
 }

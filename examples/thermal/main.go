@@ -18,7 +18,6 @@ import (
 
 func main() {
 	cfg := sim.DefaultConfig(workload.ThermalMix())
-	cfg.Parallel = true
 	cal, err := core.Calibrate(cfg, 60, 240)
 	if err != nil {
 		log.Fatal(err)

@@ -18,7 +18,6 @@ import (
 
 func main() {
 	cfg := sim.DefaultConfig(workload.Mix1())
-	cfg.Parallel = true
 	cfg.Variation = variation.PaperIslands(2) // 1.2x / 1.5x / 2.0x / 1.0x
 
 	// Calibrate the chip *with* its variation — per-die characterization.

@@ -92,8 +92,8 @@ const maxPrefWays = 64
 // reads its victim from the order word's last nibble. Associativities above
 // 16 use a move-to-front layout within the same flat array.
 //
-// It is not safe for concurrent use; in the parallel simulator each cache is
-// owned by exactly one island goroutine.
+// It is not safe for concurrent use; each cache belongs to one core's
+// hierarchy (or one island's shared L2), stepped by its chip's sampler.
 type Cache struct {
 	cfg  Config
 	tags []uint64 // sets*assoc, indexed set*assoc+way
@@ -149,20 +149,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters without touching cache contents, as done at
-// control-interval boundaries.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Flush invalidates all contents and clears statistics.
-func (c *Cache) Flush() {
-	clear(c.size)
-	clear(c.order)
-	clear(c.sigs)
-	clear(c.pref)
-	c.prefLive = false
-	c.stats = Stats{}
-}
 
 // Access looks up the block containing addr, updating LRU state and
 // counters, and reports whether it hit. On a miss the block is filled,

@@ -114,29 +114,16 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestFlushAndOccupancy(t *testing.T) {
+func TestOccupancy(t *testing.T) {
 	c := small(t)
+	if c.Occupancy() != 0 {
+		t.Errorf("new cache occupancy = %d, want 0", c.Occupancy())
+	}
 	for i := uint64(0); i < 10; i++ {
 		c.Access(i * 64)
 	}
 	if c.Occupancy() != 10 {
 		t.Errorf("occupancy = %d, want 10", c.Occupancy())
-	}
-	c.Flush()
-	if c.Occupancy() != 0 || c.Stats().Accesses != 0 {
-		t.Error("flush should clear contents and stats")
-	}
-}
-
-func TestResetStatsKeepsContents(t *testing.T) {
-	c := small(t)
-	c.Access(0x40)
-	c.ResetStats()
-	if c.Stats().Accesses != 0 {
-		t.Error("stats not cleared")
-	}
-	if !c.Access(0x40) {
-		t.Error("contents lost by ResetStats")
 	}
 }
 

@@ -57,13 +57,6 @@ func (b *Banked) Stats() Stats {
 	return s
 }
 
-// ResetStats clears all bank counters.
-func (b *Banked) ResetStats() {
-	for _, bank := range b.banks {
-		bank.ResetStats()
-	}
-}
-
 // Hierarchy is one core's view of the memory system: private L1I and L1D,
 // and a (possibly shared) L2. The L2 is abstracted behind the Level2
 // interface so that a private slice and a shared banked cache are
@@ -78,7 +71,6 @@ type Hierarchy struct {
 type Level2 interface {
 	Access(addr uint64) bool
 	Stats() Stats
-	ResetStats()
 }
 
 // NewHierarchy wires a hierarchy after validating the pieces exist.
@@ -109,15 +101,6 @@ func (h *Hierarchy) pass(l1 *Cache, addrs []uint64) (l2Hits, mem int) {
 		}
 	}
 	return l2Hits, mem
-}
-
-// ResetStats clears counters at every level. Note that for a shared L2 this
-// clears the shared counters too; the simulator resets per interval before
-// any core runs.
-func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
 }
 
 // TableIL1 returns the paper's L1 configuration: 16 KB, 2-way, 64 B blocks,

@@ -90,9 +90,6 @@ func (p *StreamPrefetcher) record(block uint64) {
 // Stats implements Level2, exposing the inner cache's demand counters.
 func (p *StreamPrefetcher) Stats() Stats { return p.inner.Stats() }
 
-// ResetStats implements Level2.
-func (p *StreamPrefetcher) ResetStats() { p.inner.ResetStats() }
-
 // Config exposes the inner geometry (used for latency lookups).
 func (p *StreamPrefetcher) Config() Config { return p.inner.Config() }
 

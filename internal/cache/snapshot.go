@@ -31,8 +31,11 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 }
 
 // Restore reads state written by Snapshot straight into a cache of
-// identical geometry, rejecting length mismatches. On error the cache may
-// be left partly written.
+// identical geometry, rejecting length mismatches and any set state a
+// cache cannot reach: a fill count outside [0, assoc], or an LRU order
+// whose first size[s] nibbles are not ways 0..size[s]-1 once each (fills
+// take ways in order, so those are exactly a set's valid ways). On error
+// the cache may be left partly written.
 func (c *Cache) Restore(d *snapshot.Decoder) error {
 	d.Tag(snapshot.TagCache)
 	d.U64sInto(c.tags)
@@ -52,6 +55,16 @@ func (c *Cache) Restore(d *snapshot.Decoder) error {
 	for s, n := range c.size {
 		if n < 0 || int(n) > c.assoc {
 			return snapshot.ShapeErrorf("set %d fill count %d outside [0, %d]", s, n, c.assoc)
+		}
+		if c.order == nil {
+			continue
+		}
+		var named uint32 // bit w: way w appears among the first n nibbles
+		for k, w := int32(0), c.order[s]; k < n; k, w = k+1, w>>4 {
+			named |= 1 << (w & 0xf)
+		}
+		if named != 1<<n-1 {
+			return snapshot.ShapeErrorf("set %d LRU order %#x does not name ways 0..%d once each", s, c.order[s], n-1)
 		}
 	}
 	c.prefLive = prefLive

@@ -109,13 +109,46 @@ func TestFarmSharedSamplerGolden(t *testing.T) {
 	for _, spec := range specs {
 		keys[farm.KeyOf(spec.Config)] = true
 	}
-	if f.NumGroups() != len(keys) || len(keys) >= f.NumChips() {
-		t.Fatalf("%d chips over %d workload keys built %d groups, want one per key", f.NumChips(), len(keys), f.NumGroups())
+	if f.NumGroups() != len(keys) || len(keys) >= len(specs) {
+		t.Fatalf("%d chips over %d workload keys built %d groups, want one per key", len(specs), len(keys), f.NumGroups())
 	}
 	if _, err := f.Run(engine.Pool{Workers: 4}, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkFarmTraces(t, scenarios, goldens, suites)
+}
+
+// TestRunBatchMatchesScenarioRuns: RunBatch returns, in scenario order,
+// the summary each scenario's own Run produces and a suite per run, for a
+// batch whose scenarios span two workload keys and three controllers.
+func TestRunBatchMatchesScenarioRuns(t *testing.T) {
+	var scs []Scenario
+	for _, name := range []string{"cpm-default", "thermal-policy", "maxbips"} {
+		sc, err := ScenarioByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, sc)
+	}
+	sums, suites, err := RunBatch(scs, goldenSeed, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums) != len(scs) || len(suites) != len(scs) {
+		t.Fatalf("%d scenarios gave %d summaries and %d suites", len(scs), len(sums), len(suites))
+	}
+	for i, sc := range scs {
+		want, _, err := sc.Run(goldenSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sums[i], want) {
+			t.Errorf("%s: batch summary differs from its own run", sc.Name)
+		}
+		if err := suites[i].Err(); err != nil {
+			t.Errorf("%s: %v", sc.Name, err)
+		}
+	}
 }
 
 // TestFarmReplicatedDistinctSeeds replicates one scenario across distinct

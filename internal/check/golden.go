@@ -28,7 +28,7 @@ import (
 // temperature, every island's level, frequency, power, BIPS and
 // instruction count, the step's allocations, and each epoch's means. Two
 // runs of the same configuration and seed produce the same digest on any
-// executor (sequential, island-parallel, pooled, farmed).
+// executor (alone, pooled, farmed).
 type Golden struct {
 	recorder
 	scenario string

@@ -8,6 +8,7 @@ import (
 	"github.com/cpm-sim/cpm/internal/control"
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/engine"
+	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/metrics"
 	"github.com/cpm-sim/cpm/internal/pic"
@@ -260,13 +261,9 @@ func (s Scenario) Build(seed uint64, extra ...engine.Observer) (*engine.Session,
 
 // BuildConfig returns the chip configuration Build simulates for seed —
 // the input a farm needs to construct an equivalent record-driven chip.
-// The chip samples its islands sequentially, so results never depend on
-// GOMAXPROCS; a caller may set Parallel on the returned config before
-// building the chip itself for BuildOn.
 func (s Scenario) BuildConfig(seed uint64) sim.Config {
 	cfg := sim.DefaultConfig(s.Mix())
 	cfg.Seed = seed
-	cfg.Parallel = false
 	cfg.Variation = s.Variation
 	cfg.Tech = s.Tech
 	cfg.IslandClasses = s.Classes
@@ -280,8 +277,8 @@ func (s Scenario) BuildConfig(seed uint64) sim.Config {
 }
 
 // BuildOn assembles the scenario's stack over a caller-supplied chip built
-// from BuildConfig(seed) — a farm member (sim.NewWithRecords), a chip
-// sampling its islands in parallel, or a replay chip (sim.NewReplay).
+// from BuildConfig(seed) — a farm member (sim.NewWithRecords) or a replay
+// chip (sim.NewReplay).
 // WarmState, when set, is restored into the chip first. The stack carries
 // its invariant suite and, with Metrics set, its telemetry observer, ahead
 // of extra.
@@ -336,6 +333,40 @@ func (s Scenario) BuildOn(cmp *sim.CMP, seed uint64, extra ...engine.Observer) (
 		return nil, nil, err
 	}
 	return sess, suite, nil
+}
+
+// RunBatch runs scenarios at seed as one farm batch and returns their
+// summaries and invariant suites in scenario order. Scenarios sharing a
+// workload key (farm.KeyOf) share one sampler, so a batch of budget points
+// or controllers over one workload pays the sampling cost of a single run;
+// each run is bit-identical to the scenario's own Run. The sampler groups
+// step one after another on one worker, so runs that record into one
+// metrics registry under one label do so in the same order every time.
+// samplerState, when non-nil, is restored into the batch's one sampler
+// (farm.Options.SamplerState); onProgress, when non-nil, is told how many
+// runs have finished.
+func RunBatch(scs []Scenario, seed uint64, samplerState []byte, onProgress func(done, total int)) ([]engine.Summary, []*Suite, error) {
+	specs := make([]farm.ChipSpec, len(scs))
+	suites := make([]*Suite, len(scs))
+	for i, sc := range scs {
+		specs[i] = farm.ChipSpec{
+			Config: sc.BuildConfig(seed),
+			NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+				sess, suite, err := sc.BuildOn(cmp, seed)
+				suites[i] = suite
+				return sess, err
+			},
+		}
+	}
+	f, err := farm.New(specs, farm.Options{SamplerState: samplerState})
+	if err != nil {
+		return nil, nil, err
+	}
+	sums, err := f.Run(engine.Pool{Workers: 1}, onProgress)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sums, suites, nil
 }
 
 // cpm wires the two-tier controller and its suite.

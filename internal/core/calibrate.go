@@ -252,26 +252,3 @@ func Calibrate(cfg sim.Config, warm, measure int) (Calibration, error) {
 	cal.PowerElasticity = efit.Slope
 	return cal, nil
 }
-
-// RunUnmanaged measures the mean chip power and throughput with all islands
-// pinned at level (pass -1 for the top), the "no power management" baseline
-// of Figure 12.
-func RunUnmanaged(cfg sim.Config, level, warm, measure int) (powerW, bips float64, err error) {
-	cfg.InitialLevel = level
-	cmp, err := sim.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	for k := 0; k < warm; k++ {
-		cmp.Step()
-	}
-	if measure <= 0 {
-		return 0, 0, errors.New("core: need measurement intervals")
-	}
-	for k := 0; k < measure; k++ {
-		r := cmp.Step()
-		powerW += r.ChipPowerW
-		bips += r.TotalBIPS
-	}
-	return powerW / float64(measure), bips / float64(measure), nil
-}

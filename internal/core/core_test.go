@@ -17,7 +17,6 @@ var calCache = map[string]Calibration{}
 func calibrated(t *testing.T, mix workload.Mix) (sim.Config, Calibration) {
 	t.Helper()
 	cfg := sim.DefaultConfig(mix)
-	cfg.Parallel = true
 	if c, ok := calCache[mix.Name]; ok {
 		return cfg, c
 	}
@@ -284,24 +283,6 @@ func TestEqualSharePolicyAlsoTracks(t *testing.T) {
 	// budget materially.
 	if mean > cal.BudgetW(0.8)*1.05 {
 		t.Errorf("equal-share mean power %v exceeds budget %v", mean, cal.BudgetW(0.8))
-	}
-}
-
-func TestRunUnmanaged(t *testing.T) {
-	cfg, _ := calibrated(t, workload.Mix1())
-	pTop, bTop, err := RunUnmanaged(cfg, -1, 40, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pLow, bLow, err := RunUnmanaged(cfg, 0, 40, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pLow >= pTop || bLow >= bTop {
-		t.Errorf("unmanaged extremes inverted: (%v,%v) vs (%v,%v)", pLow, bLow, pTop, bTop)
-	}
-	if _, _, err := RunUnmanaged(cfg, -1, 0, 0); err == nil {
-		t.Error("zero measurement intervals should error")
 	}
 }
 

@@ -95,7 +95,6 @@ func TestSurvivesDroppedGPMInvocations(t *testing.T) {
 func TestPlantGainDriftWithinCertifiedRange(t *testing.T) {
 	mkCfg := func(scale float64) sim.Config {
 		cfg := sim.DefaultConfig(workload.Mix1())
-		cfg.Parallel = true
 		m := power.DefaultModel()
 		dyn, err := power.NewDynamicModel(10*scale, m.Table.Max(), 0.10, power.DefaultUnitWeights)
 		if err != nil {

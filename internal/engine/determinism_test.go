@@ -12,7 +12,7 @@ import (
 
 // seriesHash folds a run's full per-interval power/BIPS series (chip and
 // per island) into one hash, so executor equivalence is asserted
-// bit-for-bit, as the sim package's parallel-sampling comment promises.
+// bit-for-bit.
 func seriesHash(steps []Step) uint64 {
 	h := fnv.New64a()
 	word := func(v float64) {
@@ -36,11 +36,10 @@ func seriesHash(steps []Step) uint64 {
 
 // runManagedSteps executes one managed session and returns its measured
 // steps.
-func runManagedSteps(t testing.TB, parallel bool) []Step {
+func runManagedSteps(t testing.TB) []Step {
 	t.Helper()
 	cfg := sim.DefaultConfig(workload.Mix1())
 	cfg.Seed = 11
-	cfg.Parallel = parallel
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,21 +63,17 @@ func runManagedSteps(t testing.TB, parallel bool) []Step {
 	return steps
 }
 
-// TestCrossExecutorDeterminism drives the same config + seed through
-// sequential sampling, island-parallel sampling, and sessions running
-// inside an engine.Pool, and requires identical per-interval power/BIPS
-// series from all three paths.
+// TestCrossExecutorDeterminism drives the same config + seed through a
+// session run alone and sessions running concurrently inside an
+// engine.Pool, and requires identical per-interval power/BIPS series from
+// every path.
 func TestCrossExecutorDeterminism(t *testing.T) {
-	seq := seriesHash(runManagedSteps(t, false))
-	par := seriesHash(runManagedSteps(t, true))
-	if seq != par {
-		t.Fatalf("Parallel sampling diverged from sequential: %x vs %x", par, seq)
-	}
+	seq := seriesHash(runManagedSteps(t))
 
 	// Several identical jobs concurrently through the pool: every job must
-	// reproduce the sequential hash even while racing with its siblings.
+	// reproduce the serial hash even while racing with its siblings.
 	hashes, err := Map(Pool{Workers: 4}, 4, func(i int) (uint64, error) {
-		return seriesHash(runManagedSteps(t, true)), nil
+		return seriesHash(runManagedSteps(t)), nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -38,21 +39,22 @@ func runFig11(o Options) (Result, error) {
 		return Result{}, err
 	}
 	sc.MeasureEpochs = o.epochs(16)
+	var scs []check.Scenario
+	for _, frac := range budgetSweep {
+		sc.BudgetFrac = frac
+		scs = append(scs, sc, maxBIPS(sc))
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
 	set := trace.NewSet("budget (% of required power)")
 	var rows [][]string
 	var worstOurGap, worstOurOver float64
 	maxbipsAlwaysBelow := true
 	for _, frac := range budgetSweep {
 		budget := cal.BudgetW(frac)
-		sc.BudgetFrac = frac
-		ours, err := o.run(sc)
-		if err != nil {
-			return Result{}, err
-		}
-		mb, err := o.run(maxBIPS(sc))
-		if err != nil {
-			return Result{}, err
-		}
+		ours, mb := res.next(), res.next()
 		set.Get("Budget").Append(frac * 100)
 		set.Get("Our scheme").Append(ours.MeanPowerW / cal.UnmanagedPowerW * 100)
 		set.Get("MaxBIPS").Append(mb.MeanPowerW / cal.UnmanagedPowerW * 100)
@@ -99,20 +101,21 @@ func runFig11(o Options) (Result, error) {
 func runFig12(o Options) (Result, error) {
 	sc := spec(workload.Mix1())
 	sc.MeasureEpochs = o.epochs(16)
-	base, err := o.run(unmanaged(sc))
+	scs := []check.Scenario{unmanaged(sc)}
+	for _, frac := range budgetSweep {
+		sc.BudgetFrac = frac
+		scs = append(scs, sc)
+	}
+	res, err := o.runAll(scs)
 	if err != nil {
 		return Result{}, err
 	}
+	base := res.next()
 	set := trace.NewSet("budget (% of required power)")
 	var rows [][]string
 	degr := map[float64]float64{}
 	for _, frac := range budgetSweep {
-		sc.BudgetFrac = frac
-		ours, err := o.run(sc)
-		if err != nil {
-			return Result{}, err
-		}
-		d := degradation(ours, base)
+		d := degradation(res.next(), base)
 		degr[frac] = d
 		set.Get("degradation").Append(d * 100)
 		rows = append(rows, []string{fmt.Sprintf("%.0f%%", frac*100), pct(d)})
@@ -138,15 +141,12 @@ func runFig12(o Options) (Result, error) {
 func runFig14(o Options) (Result, error) {
 	sc := spec(workload.Mix1())
 	sc.BudgetFrac, sc.MeasureEpochs = 1.0, o.epochs(24)
-	ours, err := o.run(sc)
-	if err != nil {
-		return Result{}, err
-	}
 	// Unmanaged over the identical window (same seed, so epochs align).
-	base, err := o.run(unmanaged(sc))
+	res, err := o.runAll([]check.Scenario{sc, unmanaged(sc)})
 	if err != nil {
 		return Result{}, err
 	}
+	ours, base := res.next(), res.next()
 	set := trace.NewSet("GPM invocation")
 	var worst, sumD float64
 	perEpoch := ours.EpochInstr

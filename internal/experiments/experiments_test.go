@@ -3,7 +3,18 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/cpm-sim/cpm/internal/workload"
 )
+
+// quickRuns memoizes quick: each harness runs once per test binary however
+// many tests read its result.
+var quickRuns = map[string]quickRun{}
+
+type quickRun struct {
+	r   Result
+	err error
+}
 
 // quick runs an experiment in Quick mode, failing the test on error.
 func quick(t *testing.T, id string) Result {
@@ -12,9 +23,14 @@ func quick(t *testing.T, id string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := d.Run(Options{Quick: true})
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+	run, ok := quickRuns[id]
+	if !ok {
+		run.r, run.err = d.Run(Options{Quick: true})
+		quickRuns[id] = run
+	}
+	r := run.r
+	if run.err != nil {
+		t.Fatalf("%s: %v", id, run.err)
 	}
 	if r.ID != id {
 		t.Fatalf("result ID %q for experiment %q", r.ID, id)
@@ -379,5 +395,24 @@ func TestScorecard(t *testing.T) {
 	}
 	if len(r.Sets) != len(mixes) {
 		t.Errorf("scorecard exported %d trace sets, want one per mix (%d)", len(r.Sets), len(mixes))
+	}
+}
+
+// BenchmarkFig15Scaling times the Figure 15 harness in Quick mode: 14 runs
+// over two workload keys (16- and 32-core Mix-3), run as one farm batch.
+// Calibrations are cached per process and primed before the timer, so an
+// op is the batch and its report.
+func BenchmarkFig15Scaling(b *testing.B) {
+	for _, replicas := range []int{1, 2} {
+		if _, err := spec(workload.Mix3(replicas)).Calibration(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runFig15(Options{Quick: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

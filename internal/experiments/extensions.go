@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/core"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/trace"
@@ -45,16 +46,22 @@ func runExt1(o Options) (Result, error) {
 		return Result{}, err
 	}
 	sc.BudgetFrac, sc.WarmEpochs, sc.MeasureEpochs = 1.0, 8, o.epochs(20)
+	floors := []float64{0.85, 0.90, 0.95}
+	var scs []check.Scenario
+	for _, floor := range floors {
+		floorBIPS := floor * cal.UnmanagedBIPS
+		sc.Policy = func() (gpm.Policy, error) { return &gpm.EnergyAware{FloorBIPS: floorBIPS}, nil }
+		scs = append(scs, sc)
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
 	var rows [][]string
 	set := trace.NewSet("performance floor (% of unmanaged)")
 	metrics := map[string]float64{}
-	for _, floor := range []float64{0.85, 0.90, 0.95} {
-		floorBIPS := floor * cal.UnmanagedBIPS
-		sc.Policy = func() (gpm.Policy, error) { return &gpm.EnergyAware{FloorBIPS: floorBIPS}, nil }
-		sum, err := o.run(sc)
-		if err != nil {
-			return Result{}, err
-		}
+	for _, floor := range floors {
+		sum := res.next()
 		powerFrac := sum.MeanPowerW / cal.UnmanagedPowerW
 		bipsFrac := sum.MeanBIPS / cal.UnmanagedBIPS
 		rows = append(rows, []string{
@@ -101,15 +108,19 @@ func runExt2(o Options) (Result, error) {
 		{"island 0 stuck at top", &core.FaultPlan{StuckIsland: 0, StuckLevel: 7, Seed: 13}},
 		{"50% GPM drops", &core.FaultPlan{DropGPMProb: 0.5, StuckIsland: -1, Seed: 14}},
 	}
+	scs := make([]check.Scenario, len(cases))
+	for i, cse := range cases {
+		scs[i] = sc
+		scs[i].Faults = cse.plan
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
 	var rows [][]string
 	metrics := map[string]float64{}
 	for i, cse := range cases {
-		sc.Faults = cse.plan
-		sum, err := o.run(sc)
-		if err != nil {
-			return Result{}, err
-		}
-		mean := sum.MeanPowerW
+		mean := res.next().MeanPowerW
 		errFrac := (mean - budget) / budget
 		rows = append(rows, []string{cse.name, fmt.Sprintf("%.1f W", mean), fmt.Sprintf("%+.1f%%", errFrac*100)})
 		metrics[fmt.Sprintf("err_case%d", i)] = math.Abs(errFrac)
@@ -135,27 +146,18 @@ func runExt3(o Options) (Result, error) {
 		return Result{}, err
 	}
 	sc.BudgetFrac, sc.MeasureEpochs = 0.8, o.epochs(16)
-	base, err := o.run(unmanaged(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	run := func(exponent float64) (float64, float64, error) {
+	withExponent := func(exponent float64) check.Scenario {
 		sc := sc
 		sc.Policy = func() (gpm.Policy, error) { return &gpm.PerformanceAware{PowerExponent: exponent}, nil }
-		sum, err := o.run(sc)
-		if err != nil {
-			return 0, 0, err
-		}
-		return degradation(sum, base), sum.MeanPowerW, nil
+		return sc
 	}
-	dCube, pCube, err := run(1.0 / 3.0)
+	res, err := o.runAll([]check.Scenario{unmanaged(sc), withExponent(1.0 / 3.0), withExponent(cal.RecommendedExponent())})
 	if err != nil {
 		return Result{}, err
 	}
-	dCal, pCal, err := run(cal.RecommendedExponent())
-	if err != nil {
-		return Result{}, err
-	}
+	base, cube, calibrated := res.next(), res.next(), res.next()
+	dCube, pCube := degradation(cube, base), cube.MeanPowerW
+	dCal, pCal := degradation(calibrated, base), calibrated.MeanPowerW
 	var b strings.Builder
 	fmt.Fprintf(&b, "Identified power elasticity e = %.2f (Eq. 1 idealizes 3); calibrated exponent 1/e = %.2f.\n\n", cal.PowerElasticity, cal.RecommendedExponent())
 	b.WriteString(trace.Table(

@@ -57,21 +57,15 @@ func runFig18(o Options) (Result, error) {
 	budget := cal.BudgetW(budgetFrac)
 	sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, o.epochs(20)
 
-	base, err := o.run(unmanaged(sc))
+	thermal := sc
+	if thermal.Policy, err = check.PolicyByName("thermal"); err != nil {
+		return Result{}, err
+	}
+	res, err := o.runAll([]check.Scenario{unmanaged(sc), sc, thermal})
 	if err != nil {
 		return Result{}, err
 	}
-	perf, err := o.run(sc)
-	if err != nil {
-		return Result{}, err
-	}
-	if sc.Policy, err = check.PolicyByName("thermal"); err != nil {
-		return Result{}, err
-	}
-	therm, err := o.run(sc)
-	if err != nil {
-		return Result{}, err
-	}
+	base, perf, therm := res.next(), res.next(), res.next()
 
 	perfViolations, err := thermalViolations(budget, perf.AllocTrace)
 	if err != nil {
@@ -123,17 +117,16 @@ func runFig19(o Options) (Result, error) {
 	sc.Variation = variation.PaperIslands(2)
 	sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, o.epochs(20)
 
-	perf, err := o.run(sc)
+	variationAware := sc
+	var err error
+	if variationAware.Policy, err = check.PolicyByName("variation"); err != nil {
+		return Result{}, err
+	}
+	res, err := o.runAll([]check.Scenario{sc, variationAware})
 	if err != nil {
 		return Result{}, err
 	}
-	if sc.Policy, err = check.PolicyByName("variation"); err != nil {
-		return Result{}, err
-	}
-	va, err := o.run(sc)
-	if err != nil {
-		return Result{}, err
-	}
+	perf, va := res.next(), res.next()
 
 	leaks := []float64{1.2, 1.5, 2.0, 1.0}
 	var rows [][]string

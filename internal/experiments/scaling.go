@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/check"
 	"github.com/cpm-sim/cpm/internal/trace"
 	"github.com/cpm-sim/cpm/internal/workload"
 )
@@ -41,25 +42,23 @@ func runFig13(o Options) (Result, error) {
 	var rows [][]string
 	metrics := map[string]float64{}
 	set := trace.NewSet("cores per island")
-	for _, size := range []int{1, 2, 4} {
+	sizes := []int{1, 2, 4}
+	var scs []check.Scenario
+	for _, size := range sizes {
 		mix, err := workload.PerIslandSize(size)
 		if err != nil {
 			return Result{}, err
 		}
 		sc := spec(mix)
 		sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, meas
-		base, err := o.run(unmanaged(sc))
-		if err != nil {
-			return Result{}, err
-		}
-		ours, err := o.run(sc)
-		if err != nil {
-			return Result{}, err
-		}
-		mb, err := o.run(maxBIPS(sc))
-		if err != nil {
-			return Result{}, err
-		}
+		scs = append(scs, unmanaged(sc), sc, maxBIPS(sc))
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, size := range sizes {
+		base, ours, mb := res.next(), res.next(), res.next()
 		dOurs := degradation(ours, base)
 		dMB := degradation(mb, base)
 		metrics[fmt.Sprintf("ours_%d", size)] = dOurs
@@ -90,24 +89,26 @@ func runFig15(o Options) (Result, error) {
 	budgets := []float64{0.70, 0.80, 0.90}
 	metrics := map[string]float64{}
 	var rows [][]string
-	for _, replicas := range []int{1, 2} {
-		cores := 16 * replicas
+	replicaCounts := []int{1, 2}
+	var scs []check.Scenario
+	for _, replicas := range replicaCounts {
 		sc := spec(workload.Mix3(replicas))
 		sc.MeasureEpochs = meas
-		base, err := o.run(unmanaged(sc))
-		if err != nil {
-			return Result{}, err
-		}
+		scs = append(scs, unmanaged(sc))
 		for _, frac := range budgets {
 			sc.BudgetFrac = frac
-			ours, err := o.run(sc)
-			if err != nil {
-				return Result{}, err
-			}
-			mb, err := o.run(maxBIPS(sc))
-			if err != nil {
-				return Result{}, err
-			}
+			scs = append(scs, sc, maxBIPS(sc))
+		}
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, replicas := range replicaCounts {
+		cores := 16 * replicas
+		base := res.next()
+		for _, frac := range budgets {
+			ours, mb := res.next(), res.next()
 			dOurs := degradation(ours, base)
 			dMB := degradation(mb, base)
 			if frac == 0.80 {
@@ -138,19 +139,23 @@ func runFig16(o Options) (Result, error) {
 	metrics := map[string]float64{}
 	var rows [][]string
 	set := trace.NewSet("budget (% of required power)")
+	mixes := []workload.Mix{workload.Mix1(), workload.Mix2()}
+	var scs []check.Scenario
 	for _, frac := range budgetSweep {
-		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
-		for _, mix := range []workload.Mix{workload.Mix1(), workload.Mix2()} {
+		for _, mix := range mixes {
 			sc := spec(mix)
 			sc.BudgetFrac, sc.MeasureEpochs = frac, meas
-			base, err := o.run(unmanaged(sc))
-			if err != nil {
-				return Result{}, err
-			}
-			ours, err := o.run(sc)
-			if err != nil {
-				return Result{}, err
-			}
+			scs = append(scs, unmanaged(sc), sc)
+		}
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, frac := range budgetSweep {
+		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
+		for _, mix := range mixes {
+			base, ours := res.next(), res.next()
 			d := degradation(ours, base)
 			row = append(row, pct(d))
 			set.Get(mix.Name).Append(d * 100)
@@ -179,25 +184,29 @@ func runFig17(o Options) (Result, error) {
 	const budgetFrac = 0.8
 	metrics := map[string]float64{}
 	var rows [][]string
-	for _, size := range []int{1, 2, 4} {
+	sizes, picIntervals := []int{1, 2, 4}, []float64{2.5, 5.0}
+	var scs []check.Scenario
+	for _, size := range sizes {
 		mix, err := workload.PerIslandSize(size)
 		if err != nil {
 			return Result{}, err
 		}
-		row := []string{fmt.Sprintf("%d core/island", size)}
-		for _, picMs := range []float64{2.5, 5.0} {
+		for _, picMs := range picIntervals {
 			sc := spec(mix)
 			sc.BudgetFrac, sc.MeasureEpochs = budgetFrac, meas
 			sc.IntervalSec = picMs / 1000
 			sc.GPMPeriod = int(50/picMs + 0.5) // keep T_global at 50 ms
-			base, err := o.run(unmanaged(sc))
-			if err != nil {
-				return Result{}, err
-			}
-			ours, err := o.run(sc)
-			if err != nil {
-				return Result{}, err
-			}
+			scs = append(scs, unmanaged(sc), sc)
+		}
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, size := range sizes {
+		row := []string{fmt.Sprintf("%d core/island", size)}
+		for _, picMs := range picIntervals {
+			base, ours := res.next(), res.next()
 			d := degradation(ours, base)
 			row = append(row, pct(d))
 			metrics[fmt.Sprintf("size%d_pic%.1fms", size, picMs)] = d

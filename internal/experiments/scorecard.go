@@ -71,21 +71,17 @@ func runScorecard(o Options) (Result, error) {
 		{key: "cache", label: "cache-aware GPM", policy: "cache"},
 	}
 
-	var b strings.Builder
-	sets := map[string]*trace.Set{}
-	metricsOut := map[string]float64{}
-	for _, mix := range []workload.Mix{workload.Mix1(), workload.Mix2()} {
-		// "Mix-1" → "mix1": metric keys stay flat and shell-friendly.
-		mixKey := strings.ToLower(strings.ReplaceAll(mix.Name, "-", ""))
+	mixes := []workload.Mix{workload.Mix1(), workload.Mix2()}
+	budgets := make([]float64, len(mixes))
+	var scs []check.Scenario
+	for m, mix := range mixes {
 		base := spec(mix)
 		cal, err := base.Calibration(o.seed())
 		if err != nil {
 			return Result{}, err
 		}
-		budget := cal.BudgetW(0.8)
+		budgets[m] = cal.BudgetW(0.8)
 		base.BudgetFrac, base.WarmEpochs, base.MeasureEpochs = 0.8, 0, meas
-		set := trace.NewSet("epoch")
-		var rows [][]string
 		for _, cc := range configs {
 			sc := base
 			sc.Adaptive = cc.adaptive
@@ -94,10 +90,25 @@ func runScorecard(o Options) (Result, error) {
 					return Result{}, err
 				}
 			}
-			sum, err := o.run(sc)
-			if err != nil {
-				return Result{}, err
-			}
+			scs = append(scs, sc)
+		}
+	}
+	res, err := o.runAll(scs)
+	if err != nil {
+		return Result{}, err
+	}
+
+	var b strings.Builder
+	sets := map[string]*trace.Set{}
+	metricsOut := map[string]float64{}
+	for m, mix := range mixes {
+		// "Mix-1" → "mix1": metric keys stay flat and shell-friendly.
+		mixKey := strings.ToLower(strings.ReplaceAll(mix.Name, "-", ""))
+		budget := budgets[m]
+		set := trace.NewSet("epoch")
+		var rows [][]string
+		for _, cc := range configs {
+			sum := res.next()
 			trackErr := meanTrackErr(sum.Epochs, budget)
 			settle := settleEpochs(sum.Epochs, budget, scorecardSettleTol)
 			bipsPerW := sum.MeanBIPS / sum.MeanPowerW

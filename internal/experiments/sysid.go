@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/cpm-sim/cpm/internal/engine"
 	"github.com/cpm-sim/cpm/internal/sensor"
 	"github.com/cpm-sim/cpm/internal/sim"
 	"github.com/cpm-sim/cpm/internal/stats"
@@ -40,7 +41,6 @@ func runFig5(o Options) (Result, error) {
 		return Result{}, err
 	}
 	cfg := sc.BuildConfig(o.seed())
-	cfg.Parallel = true
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		return Result{}, err
@@ -115,22 +115,27 @@ func runFig6(o Options) (Result, error) {
 	if o.Quick {
 		windows = 16
 	}
-	var rows [][]string
-	var r2s []float64
-	sets := map[string]*trace.Set{}
-	for _, prof := range workload.PARSEC() {
+	type solo struct {
+		row []string
+		r2  float64
+		set *trace.Set
+	}
+	profs := workload.PARSEC()
+	// The solo-benchmark chips share no workload, so they run on the pool,
+	// which returns them in benchmark order.
+	solos, err := engine.Map(engine.Pool{}, len(profs), func(j int) (solo, error) {
+		prof := profs[j]
 		mix := workload.Mix{Name: "solo-" + prof.Name, Islands: [][]string{
 			{prof.Name, prof.Name}, {prof.Name, prof.Name},
 			{prof.Name, prof.Name}, {prof.Name, prof.Name},
 		}}
 		cfg := sim.DefaultConfig(mix)
 		cfg.Seed = o.seed()
-		cfg.Parallel = true
 		cmp, err := sim.New(cfg)
 		if err != nil {
-			return Result{}, err
+			return solo{}, err
 		}
-		rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 0xf160, uint64(len(rows))))
+		rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 0xf160, uint64(j)))
 		for k := 0; k < 60; k++ {
 			cmp.Step()
 		}
@@ -155,20 +160,26 @@ func runFig6(o Options) (Result, error) {
 		}
 		tr, r2, err := sensor.FitTransducer(utils, fracs)
 		if err != nil {
-			return Result{}, err
+			return solo{}, err
 		}
-		r2s = append(r2s, r2)
-		rows = append(rows, []string{
-			prof.Name,
-			fmt.Sprintf("P = %.3f·U %+.3f", tr.K0, tr.K1),
-			fmt.Sprintf("%.3f", r2),
-		})
 		set := trace.NewSet("utilization")
 		for i := range utils {
 			set.Get("power").Append(fracs[i])
 			set.Get("fit").Append(tr.PowerFrac(utils[i]))
 		}
-		sets["fig6-"+prof.Name] = set
+		row := []string{prof.Name, fmt.Sprintf("P = %.3f·U %+.3f", tr.K0, tr.K1), fmt.Sprintf("%.3f", r2)}
+		return solo{row, r2, set}, nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	var rows [][]string
+	var r2s []float64
+	sets := map[string]*trace.Set{}
+	for j, s := range solos {
+		rows = append(rows, s.row)
+		r2s = append(r2s, s.r2)
+		sets["fig6-"+profs[j].Name] = s.set
 	}
 	avg := stats.Mean(r2s)
 	var b strings.Builder

@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"github.com/cpm-sim/cpm/internal/core"
+	"github.com/cpm-sim/cpm/internal/engine"
+	"github.com/cpm-sim/cpm/internal/farm"
 	"github.com/cpm-sim/cpm/internal/gpm"
 	"github.com/cpm-sim/cpm/internal/power"
 	"github.com/cpm-sim/cpm/internal/sim"
@@ -56,41 +58,70 @@ func (p splitPolicy) Provision(budgetW float64, obs []gpm.IslandObs) []float64 {
 // PICs run in the oracle-power ablation (measured island power as
 // feedback), so each node needs no per-node transducer calibration and the
 // comparison isolates the physics — scaled tables, vth-trimmed level
-// counts, leakage share — from estimator quality.
+// counts, leakage share — from estimator quality. Every run is a farm
+// member: the unmanaged baselines run first, one per node, since their
+// mean power sets each node's budget; then every node's splits share that
+// node's sampler.
 func runTechNode(o Options) (Result, error) {
 	classes := []power.CoreClass{
 		power.ClassOoO, power.ClassLittleIO, power.ClassOoO, power.ClassLittleIO,
 	}
 	nodes := append([]power.TechNode{0}, power.Nodes()...)
 	splits := []float64{0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85}
-	warm, meas := 2, o.epochs(8)
+	window := engine.SessionConfig{WarmEpochs: 2, MeasureEpochs: o.epochs(8)}
+
+	labels := make([]string, len(nodes))
+	baseSpecs := make([]farm.ChipSpec, len(nodes))
+	for n, node := range nodes {
+		cfg := sim.DefaultConfig(workload.Mix1())
+		cfg.Seed = o.seed()
+		cfg.IslandClasses = classes
+		labels[n] = "90nm-base"
+		if node != 0 {
+			cfg.Tech = power.TechConfig{Node: node, Variant: power.ITRS}
+			labels[n] = cfg.Tech.String()
+		}
+		baseSpecs[n] = farm.ChipSpec{Config: cfg, NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+			return engine.NewSession(engine.NewChipRunner(cmp), window)
+		}}
+	}
+	bases, err := runFarm(baseSpecs)
+	if err != nil {
+		return Result{}, fmt.Errorf("technode unmanaged: %w", err)
+	}
+
+	budgets := make([]float64, len(nodes))
+	var splitSpecs []farm.ChipSpec
+	for n, base := range baseSpecs {
+		budgets[n] = 0.8 * bases[n].MeanPowerW
+		for _, s := range splits {
+			ctlCfg := core.Config{
+				BudgetW:        budgets[n],
+				Policy:         splitPolicy{bigFrac: s, classes: classes},
+				UseOraclePower: true,
+			}
+			splitSpecs = append(splitSpecs, farm.ChipSpec{Config: base.Config, NewSession: func(cmp *sim.CMP) (*engine.Session, error) {
+				ctl, err := core.New(cmp, ctlCfg)
+				if err != nil {
+					return nil, fmt.Errorf("technode %s split %.2f: %w", labels[n], s, err)
+				}
+				return engine.NewSession(engine.NewCPMRunner(ctl), window)
+			}})
+		}
+	}
+	splitRuns, err := runFarm(splitSpecs)
+	if err != nil {
+		return Result{}, err
+	}
 
 	var b strings.Builder
 	rows := [][]string{}
 	metrics := map[string]float64{}
 	set := trace.NewSet("big-island budget share")
-	for _, node := range nodes {
-		cfg := sim.DefaultConfig(workload.Mix1())
-		cfg.Seed = o.seed()
-		cfg.Parallel = true
-		cfg.IslandClasses = classes
-		label := "90nm-base"
-		if node != 0 {
-			cfg.Tech = power.TechConfig{Node: node, Variant: power.ITRS}
-			label = cfg.Tech.String()
-		}
-		unmanagedW, _, err := core.RunUnmanaged(cfg, -1, warm*20, meas*20)
-		if err != nil {
-			return Result{}, fmt.Errorf("technode %s unmanaged: %w", label, err)
-		}
-		budget := 0.8 * unmanagedW
-
+	for n, label := range labels {
 		bestSplit, bestBIPS, equalBIPS := 0.0, -1.0, 0.0
-		for _, s := range splits {
-			bips, err := runSplit(cfg, budget, s, classes, warm, meas)
-			if err != nil {
-				return Result{}, fmt.Errorf("technode %s split %.2f: %w", label, s, err)
-			}
+		for i, s := range splits {
+			bips := splitRuns[n*len(splits)+i].MeanBIPS
 			set.Get(label).Append(bips)
 			if bips > bestBIPS {
 				bestSplit, bestBIPS = s, bips
@@ -105,15 +136,14 @@ func runTechNode(o Options) (Result, error) {
 		}
 		rows = append(rows, []string{
 			label,
-			fmt.Sprintf("%.1f W", budget),
+			fmt.Sprintf("%.1f W", budgets[n]),
 			fmt.Sprintf("%.2f", bestSplit),
 			fmt.Sprintf("%.2f", bestBIPS),
 			fmt.Sprintf("%+.1f%%", gain),
 		})
-		key := label
-		metrics["opt_big_share_"+key] = bestSplit
-		metrics["bips_"+key] = bestBIPS
-		metrics["budget_w_"+key] = budget
+		metrics["opt_big_share_"+label] = bestSplit
+		metrics["bips_"+label] = bestBIPS
+		metrics["budget_w_"+label] = budgets[n]
 	}
 	b.WriteString("Big-island budget share maximizing chip BIPS, 0.8 budget, Mix-1 big.LITTLE (2 OoO + 2 little islands), ITRS scaling:\n")
 	b.WriteString(trace.Table([]string{"Node", "Budget", "Best big share", "BIPS", "vs 50/50"}, rows))
@@ -127,28 +157,12 @@ func runTechNode(o Options) (Result, error) {
 	}, nil
 }
 
-// runSplit runs one (node, split) point: CPM with the fixed-split policy
-// in the oracle-power ablation, returning the mean measured-epoch BIPS.
-func runSplit(cfg sim.Config, budgetW, bigFrac float64, classes []power.CoreClass, warmEpochs, measEpochs int) (float64, error) {
-	cmp, err := sim.New(cfg)
+// runFarm runs chip specs as one farm batch on one worker: specs sharing a
+// workload key share one sampler.
+func runFarm(specs []farm.ChipSpec) ([]engine.Summary, error) {
+	f, err := farm.New(specs, farm.Options{})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	ctl, err := core.New(cmp, core.Config{
-		BudgetW:        budgetW,
-		Policy:         splitPolicy{bigFrac: bigFrac, classes: classes},
-		UseOraclePower: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	for k := 0; k < warmEpochs*20; k++ {
-		ctl.Step()
-	}
-	var bips float64
-	n := measEpochs * 20
-	for k := 0; k < n; k++ {
-		bips += ctl.Step().Sim.TotalBIPS
-	}
-	return bips / float64(n), nil
+	return f.Run(engine.Pool{Workers: 1}, nil)
 }

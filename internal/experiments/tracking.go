@@ -148,7 +148,10 @@ func runFig9(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := sc.BuildConfig(o.seed())
+	quanta, err := quantaW(sc.BuildConfig(o.seed()))
+	if err != nil {
+		return Result{}, err
+	}
 	// For every island and epoch, measure overshoot of actual island power
 	// vs target across the 20 PIC invocations of the epoch, and settling
 	// time into a band accounting for one DVFS quantum of resolution.
@@ -192,8 +195,7 @@ func runFig9(o Options) (Result, error) {
 					}
 					// Settling: first invocation from which power stays in
 					// the band (2% of target + half a DVFS quantum).
-					quantum := quantumW(cfg, i)
-					band := 0.02*target + quantum/2
+					band := 0.02*target + quanta[i]/2
 					settle := -1
 					for s := len(series) - 1; s >= 0; s-- {
 						if math.Abs(series[s]-target) > band {
@@ -290,23 +292,26 @@ func runFig10(o Options) (Result, error) {
 	}, nil
 }
 
-// quantumW estimates the island power change of one DVFS step near the top
-// of the table, the tracking resolution.
-func quantumW(cfg sim.Config, islandIdx int) float64 {
-	// One level step changes island power by roughly swing/(levels-1);
-	// use the calibrated island max power with a 0.6 swing estimate. The
-	// island's own table sets the step count; a single-point table has no
-	// steps, so the divisor clamps to 1 (the quantum degenerates to the
-	// whole swing) instead of dividing by zero.
+// quantaW estimates each island's power change of one DVFS step near the
+// top of its table, the tracking resolution, from one chip built from cfg.
+// One level step changes island power by roughly swing/(levels-1); use the
+// island's max power with a 0.6 swing estimate. A single-point table has no
+// steps, so the divisor clamps to 1 (the quantum degenerates to the whole
+// swing) instead of dividing by zero.
+func quantaW(cfg sim.Config) ([]float64, error) {
 	c, err := sim.New(cfg)
 	if err != nil {
-		return 1
+		return nil, err
 	}
-	steps := c.IslandTable(islandIdx).Levels() - 1
-	if steps < 1 {
-		steps = 1
+	quanta := make([]float64, c.NumIslands())
+	for i := range quanta {
+		steps := c.IslandTable(i).Levels() - 1
+		if steps < 1 {
+			steps = 1
+		}
+		quanta[i] = 0.6 * c.IslandMaxPowerW(i) / float64(steps)
 	}
-	return 0.6 * c.IslandMaxPowerW(islandIdx) / float64(steps)
+	return quanta, nil
 }
 
 // percentile is the nearest-rank percentile with a floored index.

@@ -21,14 +21,22 @@ func TestQuantumWSinglePointTable(t *testing.T) {
 	}
 	cfg := sim.DefaultConfig(workload.Mix{Name: "tiny", Islands: [][]string{{"bschls"}}})
 	cfg.Power = &power.Model{Table: tbl, Dynamic: base.Dynamic, Leakage: base.Leakage}
-	q := quantumW(cfg, 0)
+	qs, err := quantaW(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := qs[0]
 	if math.IsInf(q, 0) || math.IsNaN(q) || q <= 0 {
 		t.Fatalf("single-point table quantum = %v, want finite positive", q)
 	}
 
 	// The multi-level path is unchanged: swing spread over levels-1 steps.
 	mcfg := sim.DefaultConfig(workload.Mix{Name: "tiny", Islands: [][]string{{"bschls"}}})
-	mq := quantumW(mcfg, 0)
+	mqs, err := quantaW(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mq := mqs[0]
 	c, err := sim.New(mcfg)
 	if err != nil {
 		t.Fatal(err)

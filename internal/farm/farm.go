@@ -174,9 +174,6 @@ func buildGroup(key WorkloadKey, specs []ChipSpec, idxs []int, samplerState []by
 	return &group{specs: idxs, fr: fr}, nil
 }
 
-// NumChips returns the fleet size.
-func (f *Farm) NumChips() int { return f.nSpecs }
-
 // NumGroups returns the number of sampler groups.
 func (f *Farm) NumGroups() int { return len(f.groups) }
 

@@ -68,7 +68,6 @@ func TestKeyOfIgnoresComputeHalf(t *testing.T) {
 		{"memory", func(cfg *sim.Config) { cfg.Mem.BaseLatencyNs *= 2 }},
 		{"thermal", func(cfg *sim.Config) { cfg.Thermal.AmbientC += 10 }},
 		{"NoC", func(cfg *sim.Config) { cfg.NoC = &mesh }},
-		{"parallel", func(cfg *sim.Config) { cfg.Parallel = true }},
 	} {
 		cfg := baseConfig()
 		c.edit(&cfg)

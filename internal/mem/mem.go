@@ -55,8 +55,8 @@ func (c Config) Validate() error {
 // System is the chip-wide memory model. It is driven once per control
 // interval with the aggregate miss traffic of the previous interval, from
 // which it derives the effective latency every core observes in the current
-// interval. Using previous-interval traffic keeps the parallel simulator
-// free of cross-island synchronization inside an interval.
+// interval. Using previous-interval traffic keeps the islands free of
+// cross-island coupling inside an interval.
 type System struct {
 	cfg         Config
 	utilization float64 // demand/capacity of the last observed interval

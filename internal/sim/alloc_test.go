@@ -9,7 +9,7 @@ import (
 // TestStepSteadyStateAllocs pins the zero-allocation contract of the
 // sequential interval loop: after warmup, a Step must not allocate — the
 // result reuses the chip's scratch Islands buffer and every island's
-// goroutine-owned buffers are already sized.
+// buffers are already sized.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(workload.Mix1())
 	cfg.Seed = 11

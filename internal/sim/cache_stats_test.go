@@ -118,7 +118,6 @@ func TestIslandCacheStatsSumToChip(t *testing.T) {
 func TestSamplerIslandCacheStatsMatchLiveChip(t *testing.T) {
 	cfg := DefaultConfig(workload.Mix1())
 	cfg.Seed = 11
-	cfg.Parallel = false
 	live, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

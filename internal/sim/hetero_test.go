@@ -51,24 +51,14 @@ func TestHeterogeneousChip(t *testing.T) {
 	if got, want := c.MaxChipPowerW(), c.IslandMaxPowerW(0)+c.IslandMaxPowerW(1); got != want {
 		t.Errorf("chip max %.4f W, want sum of island maxima %.4f W", got, want)
 	}
-	for _, fn := range []func(){func() { c.Table() }, func() { c.Model() }} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("legacy chip-global accessor did not panic on a heterogeneous chip")
-				}
-			}()
-			fn()
-		}()
-	}
 	r := c.Step()
 	if r.ChipPowerW <= 0 || r.TotalBIPS <= 0 {
 		t.Fatalf("hetero chip step produced power %.3f W, BIPS %.3f", r.ChipPowerW, r.TotalBIPS)
 	}
 }
 
-// TestTechScaledChip pins the homogeneous tech path: a 16 nm ITRS chip is
-// still chip-global (Table() works) but runs the scaled 7-level table.
+// TestTechScaledChip pins the homogeneous tech path: a 16 nm ITRS chip's
+// islands share one chip-global table, the scaled 7-level one.
 func TestTechScaledChip(t *testing.T) {
 	cfg := DefaultConfig(tinyMix())
 	cfg.Tech = power.TechConfig{Node: power.Node16, Variant: power.ITRS}
@@ -79,10 +69,10 @@ func TestTechScaledChip(t *testing.T) {
 	if c.Heterogeneous() {
 		t.Fatal("homogeneous tech-scaled chip reports Heterogeneous")
 	}
-	if got := c.Table().Levels(); got != 7 {
+	if got := c.IslandTable(0).Levels(); got != 7 {
 		t.Fatalf("16nm-itrs table has %d levels, want 7 (vth floor eats level 0)", got)
 	}
-	if c.Table() != c.IslandTable(0) || c.Table() != c.IslandTable(1) {
+	if c.IslandTable(0) != c.IslandTable(1) {
 		t.Fatal("islands do not alias the chip-global scaled table")
 	}
 	base, err := New(DefaultConfig(tinyMix()))
@@ -175,7 +165,8 @@ func TestSnapshotRejectsIslandIdentityMismatch(t *testing.T) {
 // FuzzChipSnapshotV3Restore is the reject-or-identical robustness target
 // for the chip section and its v3 per-island identity block: whatever
 // bytes arrive, Restore must either reject them with an error or produce a
-// state whose re-encoding is byte-identical to the input.
+// state whose re-encoding is byte-identical to the input and that the chip
+// can step from.
 func FuzzChipSnapshotV3Restore(f *testing.F) {
 	cfg := DefaultConfig(tinyMix())
 	cfg.Tech = power.TechConfig{Node: power.Node16, Variant: power.ITRS}
@@ -214,5 +205,6 @@ func FuzzChipSnapshotV3Restore(f *testing.F) {
 		if !bytes.Equal(e.Bytes(), data[:e.Len()]) {
 			t.Fatal("accepted chip snapshot is not re-encode-identical")
 		}
+		dst.Step()
 	})
 }

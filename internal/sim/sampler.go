@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/cpm-sim/cpm/internal/cache"
 	"github.com/cpm-sim/cpm/internal/snapshot"
@@ -41,15 +40,11 @@ const Window = 32
 // the interval it last stepped.
 //
 // The memory system, thermal, variation and DVFS parts of cfg are ignored —
-// they belong to the compute half. With cfg.Parallel set, each island is
-// sampled on its own goroutine: islands share no sampling state and write
-// disjoint parts of the batch, so the records are bit-identical to
-// sequential sampling.
+// they belong to the compute half.
 //
 // Not safe for concurrent use; in a farm each sampler group is stepped by
 // one worker.
 type Sampler struct {
-	cfg     Config
 	islands []samplerIsland
 	nCores  int
 	cursor  int
@@ -118,7 +113,7 @@ func NewSampler(cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{cfg: cfg}
+	s := &Sampler{}
 	coreID := 0
 	for islandID, islandProfiles := range profiles {
 		coreCfg, err := islandCoreConfig(cfg, classes[islandID], islandModels[islandID].Table)
@@ -169,20 +164,8 @@ func (s *Sampler) Records(k int) []uarch.TraceRecord {
 	switch {
 	case k == s.cursor:
 		recs := s.batch(k)
-		if s.cfg.Parallel && len(s.islands) > 1 {
-			var wg sync.WaitGroup
-			for i := range s.islands {
-				wg.Add(1)
-				go func(isl *samplerIsland) {
-					defer wg.Done()
-					isl.sample(recs)
-				}(&s.islands[i])
-			}
-			wg.Wait()
-		} else {
-			for i := range s.islands {
-				s.islands[i].sample(recs)
-			}
+		for i := range s.islands {
+			s.islands[i].sample(recs)
 		}
 		s.latch(s.statsSlot(k))
 		s.cursor++

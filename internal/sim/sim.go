@@ -19,8 +19,9 @@
 //
 // Cross-island couplings (shared-memory queueing and lateral heat flow) are
 // applied with one interval of delay, and islands share no sampling state.
-// This is what lets a sampler sample its islands on parallel goroutines
-// with results bit-identical to sequential sampling — asserted by tests.
+// A chip steps on one goroutine; parallelism lives in the pools that run
+// whole sessions (engine.Pool, farm groups, sweepd and serve workers), and
+// chips sharing a sampler pay its sampling once per interval instead.
 package sim
 
 import (
@@ -91,11 +92,6 @@ type Config struct {
 	// with one interval of delay. Nil disables the interconnect (memory
 	// controller adjacency, the pre-mesh idealization).
 	NoC *noc.Config
-	// Parallel makes the sampler built from this config (NewSampler, and
-	// so every New chip's own) sample each island on its own goroutine,
-	// bit-identically to sequential sampling. The frequency-dependent half
-	// of a step is always sequential.
-	Parallel bool
 }
 
 // DefaultConfig returns the paper's baseline configuration (Table I) for the
@@ -515,27 +511,6 @@ func (c *CMP) NumIslands() int { return len(c.islands) }
 
 // NumCores returns the chip's core count.
 func (c *CMP) NumCores() int { return c.nCores }
-
-// Table is the legacy chip-global accessor: it returns the DVFS table
-// shared by all islands, and panics on a heterogeneous chip, where no such
-// table exists — a caller reaching it there is a bug that would silently
-// mis-size every per-island computation. Use IslandTable.
-func (c *CMP) Table() *power.DVFSTable {
-	if c.Heterogeneous() {
-		panic("sim: heterogeneous chip has no chip-global DVFS table; use IslandTable")
-	}
-	return c.model.Table
-}
-
-// Model is the legacy chip-global accessor for the power model, with the
-// same contract as Table: it panics on a heterogeneous chip (use
-// IslandModel).
-func (c *CMP) Model() *power.Model {
-	if c.Heterogeneous() {
-		panic("sim: heterogeneous chip has no chip-global power model; use IslandModel")
-	}
-	return c.model
-}
 
 // Heterogeneous reports whether any island carries a power model of its
 // own rather than aliasing the chip model.

@@ -44,11 +44,11 @@ func TestTopology(t *testing.T) {
 		if c.IslandCores(i) != 2 {
 			t.Errorf("island %d has %d cores", i, c.IslandCores(i))
 		}
-		if math.Abs(c.IslandMaxPowerW(i)-2*c.Model().CoreMaxPower()) > 1e-9 {
+		if math.Abs(c.IslandMaxPowerW(i)-2*c.IslandModel(0).CoreMaxPower()) > 1e-9 {
 			t.Errorf("island %d max power wrong", i)
 		}
 	}
-	if math.Abs(c.MaxChipPowerW()-8*c.Model().CoreMaxPower()) > 1e-9 {
+	if math.Abs(c.MaxChipPowerW()-8*c.IslandModel(0).CoreMaxPower()) > 1e-9 {
 		t.Error("chip max power wrong")
 	}
 	bm := c.IslandBenchmarks(0)
@@ -56,7 +56,7 @@ func TestTopology(t *testing.T) {
 		t.Errorf("island 0 benchmarks = %v", bm)
 	}
 	// Default initial level is the top.
-	if c.Level(0) != c.Table().Levels()-1 {
+	if c.Level(0) != c.IslandTable(0).Levels()-1 {
 		t.Error("default initial level should be top")
 	}
 }
@@ -146,7 +146,7 @@ func TestSetLevelTransitionOverhead(t *testing.T) {
 	if !r.Islands[0].Transitioned {
 		t.Error("transition overhead not charged")
 	}
-	if r.Islands[0].Level != 3 || r.Islands[0].FreqMHz != c.Table().Point(3).FreqMHz {
+	if r.Islands[0].Level != 3 || r.Islands[0].FreqMHz != c.IslandTable(0).Point(3).FreqMHz {
 		t.Error("island result does not reflect new level")
 	}
 	r = c.Step()
@@ -155,34 +155,6 @@ func TestSetLevelTransitionOverhead(t *testing.T) {
 	}
 	if c.Transitions(0) != 1 {
 		t.Errorf("transitions = %d", c.Transitions(0))
-	}
-}
-
-// The load-bearing property of the whole repository: parallel sampling must
-// produce bit-identical results to sequential sampling.
-func TestParallelMatchesSequential(t *testing.T) {
-	mk := func(parallel bool) *CMP {
-		cfg := DefaultConfig(workload.Mix1())
-		cfg.Parallel = parallel
-		cfg.Variation = variation.PaperIslands(2)
-		return newCMP(t, cfg)
-	}
-	seq, par := mk(false), mk(true)
-	for k := 0; k < 60; k++ {
-		// Exercise DVFS changes mid-run.
-		if k%7 == 3 {
-			seq.SetLevel(k%4, k%8)
-			par.SetLevel(k%4, k%8)
-		}
-		rs, rp := seq.Step(), par.Step()
-		if rs.ChipPowerW != rp.ChipPowerW || rs.TotalBIPS != rp.TotalBIPS || rs.MaxTempC != rp.MaxTempC {
-			t.Fatalf("interval %d diverged: %+v vs %+v", k, rs, rp)
-		}
-		for i := range rs.Islands {
-			if rs.Islands[i] != rp.Islands[i] {
-				t.Fatalf("interval %d island %d diverged", k, i)
-			}
-		}
 	}
 }
 
@@ -237,9 +209,7 @@ func TestVariationRaisesLeakyIslandPower(t *testing.T) {
 
 func TestSixteenAndThirtyTwoCoreConfigs(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
-		cfg := DefaultConfig(workload.Mix3(replicas))
-		cfg.Parallel = true
-		c := newCMP(t, cfg)
+		c := newCMP(t, DefaultConfig(workload.Mix3(replicas)))
 		want := 16 * replicas
 		if c.NumCores() != want {
 			t.Fatalf("cores = %d, want %d", c.NumCores(), want)
@@ -347,18 +317,19 @@ func TestNoCValidatedAgainstCoreCount(t *testing.T) {
 	}
 }
 
+// TestNoCParallelStillDeterministic: two chips with the mesh enabled step
+// identically, the congestion feedback included.
 func TestNoCParallelStillDeterministic(t *testing.T) {
-	mk := func(parallel bool) *CMP {
+	mk := func() *CMP {
 		cfg := DefaultConfig(workload.Mix1())
 		n := noc.DefaultConfig(2, 4)
 		cfg.NoC = &n
-		cfg.Parallel = parallel
 		return newCMP(t, cfg)
 	}
-	seq, par := mk(false), mk(true)
+	a, b := mk(), mk()
 	for k := 0; k < 40; k++ {
-		rs, rp := seq.Step(), par.Step()
-		if rs.ChipPowerW != rp.ChipPowerW {
+		ra, rb := a.Step(), b.Step()
+		if ra.ChipPowerW != rb.ChipPowerW {
 			t.Fatalf("interval %d diverged with NoC enabled", k)
 		}
 	}

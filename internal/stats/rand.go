@@ -6,8 +6,8 @@ import "math"
 // splitmix64. It is used instead of math/rand so that every stochastic
 // component of the simulator can own an independent stream keyed by
 // (seed, core, interval, ...) and produce identical sequences regardless of
-// the order in which streams are consumed — a requirement for the parallel
-// executor to match the sequential one bit-for-bit.
+// the order in which streams are consumed, so a run is bit-identical on
+// every executor.
 type Rand struct {
 	state uint64
 }

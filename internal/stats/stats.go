@@ -5,7 +5,7 @@
 // Everything in this package is allocation-conscious and deterministic: the
 // random number generator is a splitmix64 stream keyed by an explicit seed so
 // that simulations are reproducible bit-for-bit regardless of execution order
-// (the parallel simulator executor depends on this).
+// (pooled and farmed runs depend on this).
 package stats
 
 import (

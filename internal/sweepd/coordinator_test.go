@@ -45,7 +45,6 @@ func testInstance(t testing.TB, seed uint64, extra ...engine.Observer) (*Instanc
 func buildTestInstance(seed uint64, extra ...engine.Observer) (*Instance, *countState, error) {
 	cfg := sim.DefaultConfig(workload.Mix1())
 	cfg.Seed = seed
-	cfg.Parallel = false
 	cmp, err := sim.New(cfg)
 	if err != nil {
 		return nil, nil, err

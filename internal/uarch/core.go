@@ -118,8 +118,7 @@ type IntervalStats struct {
 // application thread: the phase machine, the address-stream generators and
 // the cache hierarchy they drive. SampleInterval turns one interval of that
 // workload into a frequency-independent TraceRecord; a ComputeCore
-// evaluates it at an operating point. It is not safe for concurrent use; a
-// parallel sampler steps each core only from its island's goroutine.
+// evaluates it at an operating point. It is not safe for concurrent use.
 type Core struct {
 	id      int
 	cfg     Config
