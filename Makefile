@@ -31,7 +31,10 @@ fmt-check:
 # and checkpoint encode/restore, with alloc counters. Measure a change
 # against a revision with BENCH_FLAGS='-against HEAD~1': both builds' test
 # binaries run alternately, pair by pair, and the report keeps each side's
-# minimum and median and how many pairs the change won.
+# minimum and median and how many pairs the change won. Add
+# '-perfbench resilient:1:10,serve:1:10' to run perfbench the same way,
+# each side through its own perfbench/run.sh (each side's runs, median and
+# quartiles per metric; '-count 0' skips the microbenches).
 bench:
 	$(GO) run ./cmd/benchreport -out $(BENCH_OUT) $(BENCH_FLAGS)
 
@@ -50,6 +53,7 @@ sweep: build
 fuzz:
 	$(GO) test ./internal/workload -fuzz FuzzParseMix -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -fuzz FuzzStreamAddrs -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -fuzz FuzzAccessBatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/control -fuzz FuzzRoots -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -fuzz FuzzServeRequestDecode -fuzztime $(FUZZTIME)
@@ -57,17 +61,20 @@ fuzz:
 	$(GO) test ./internal/sweepd -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -fuzz FuzzChipSnapshotV3Restore -fuzztime $(FUZZTIME)
 
-# Short smoke of four fuzz targets: the three decoders that guard restore
+# Short smoke of five fuzz targets: the three decoders that guard restore
 # paths — the snapshot codec, sweepd checkpoints (corrupt checkpoints must
-# error, never resume divergently) and chip snapshots v3 — and the address
+# error, never resume divergently) and chip snapshots v3 — the address
 # streams, whose branch-free generator FuzzStreamAddrs checks draw for draw
-# against the branchy reference loop. Every regression test behind them
-# runs in `make race`.
+# against the branchy reference loop, and the cache's batched L1 pass,
+# which FuzzAccessBatch holds to an LRU model, to per-address Access and to
+# a snapshot-restored copy. Every regression test behind them runs in
+# `make race`.
 fuzz-smoke:
 	$(GO) test ./internal/snapshot -fuzz FuzzSnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/sweepd -fuzz FuzzCheckpointRestore -fuzztime 10s
 	$(GO) test ./internal/sim -fuzz FuzzChipSnapshotV3Restore -fuzztime 10s
 	$(GO) test ./internal/workload -fuzz FuzzStreamAddrs -fuzztime 10s
+	$(GO) test ./internal/cache -fuzz FuzzAccessBatch -fuzztime 10s
 
 # Fleet throughput benchmark: chips/sec of the 64- and 1024-chip lockstep
 # rounds vs the aggregate-scalar reference, of the 64-chip managed fleet,

@@ -14,6 +14,18 @@
 // side runs first alternates too), so drift on a shared host lands on both
 // sides alike. The report then carries REV's minimum and median beside the
 // working tree's, and how many pairs the working tree won.
+//
+// -perfbench runs the repository's end-to-end benchmark the same way:
+// each side through its own perfbench/run.sh for BENCHMARK.json's
+// run_seconds, pairs alternating which side runs first, per workload and
+// seed. For every
+// metric the report keeps each side's runs, median and quartiles (the
+// middle half of the runs), the pairs won in the direction BENCHMARK.json
+// declares, and whether every run was correct. -count 0 skips the
+// microbenchmarks:
+//
+//	go run ./cmd/benchreport -against HEAD~1 -count 0 \
+//		-perfbench resilient:1:10,serve:1:10,resilient:1:3:trace -out ab.json
 package main
 
 import (
@@ -124,17 +136,24 @@ type Report struct {
 	Note      string                `json:"note,omitempty"`
 	Results   map[string]Entry      `json:"results"`
 	Fleet     map[string]FleetEntry `json:"fleet,omitempty"`
+	Seconds   float64               `json:"perfbench_seconds,omitempty"`
+	Perfbench []PerfEntry           `json:"perfbench,omitempty"`
 }
 
 func main() {
 	out := flag.String("out", "BENCH.json", "output JSON path")
-	count := flag.Int("count", 3, "runs per benchmark and build (minimum and median ns/op kept)")
+	count := flag.Int("count", 3, "runs per benchmark and build (minimum and median ns/op kept); 0 skips the microbenchmarks")
 	benchtime := flag.String("benchtime", "1s", "go test -benchtime value")
 	against := flag.String("against", "", "git revision to build from a temporary worktree and run alternately with the working tree")
 	note := flag.String("note", "", "free-form provenance note stored in the report")
+	perf := flag.String("perfbench", "", "perfbench A/Bs to run: comma-separated workload:seed:pairs, :trace appended for a traced run")
 	flag.Parse()
-	if *count < 1 {
-		fatal(fmt.Errorf("-count must be at least 1, got %d", *count))
+	specs, err := parsePerfSpecs(*perf)
+	if err != nil {
+		fatal(err)
+	}
+	if *count < 0 || *count == 0 && len(specs) == 0 {
+		fatal(fmt.Errorf("-count must be at least 1 without -perfbench, got %d", *count))
 	}
 	rep := Report{
 		GoVersion: runtime.Version(),
@@ -147,7 +166,7 @@ func main() {
 	// An interrupt kills the running benchmark and still removes the
 	// temporary worktree and binaries on the way out.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := measure(ctx, &rep, *against)
+	err = run(ctx, &rep, *against, specs)
 	stop()
 	if err != nil {
 		fatal(err)
@@ -163,20 +182,11 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 }
 
-// measure builds the suite in the working tree and, when against names a
-// revision, in a temporary worktree of it, then runs every benchmark
-// rep.Count times per build into rep.Results.
-func measure(ctx context.Context, rep *Report, against string) error {
-	bins, err := os.MkdirTemp("", "benchreport-bin-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(bins)
-	cur, err := buildSuite(ctx, ".", filepath.Join(bins, "tree"))
-	if err != nil {
-		return err
-	}
-	var base map[string]testBin
+// run checks the revision named by against, if any, out into a temporary
+// worktree, then runs the microbenchmarks (unless rep.Count is 0) and the
+// perfbench A/Bs on both sides.
+func run(ctx context.Context, rep *Report, against string, specs []perfSpec) error {
+	revRoot := ""
 	if against != "" {
 		hash, err := gitOutput("rev-parse", "--short", against+"^{commit}")
 		if err != nil {
@@ -188,7 +198,32 @@ func measure(ctx context.Context, rep *Report, against string) error {
 			return err
 		}
 		defer remove()
-		if base, err = buildSuite(ctx, dir, filepath.Join(bins, "against")); err != nil {
+		revRoot = dir
+	}
+	if rep.Count > 0 {
+		if err := measure(ctx, rep, revRoot, against); err != nil {
+			return err
+		}
+	}
+	return perfAB(ctx, rep, revRoot, specs)
+}
+
+// measure builds the suite in the working tree and, when revRoot is a
+// revision's checkout, there too, then runs every benchmark rep.Count
+// times per build into rep.Results.
+func measure(ctx context.Context, rep *Report, revRoot, against string) error {
+	bins, err := os.MkdirTemp("", "benchreport-bin-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(bins)
+	cur, err := buildSuite(ctx, ".", filepath.Join(bins, "tree"))
+	if err != nil {
+		return err
+	}
+	var base map[string]testBin
+	if revRoot != "" {
+		if base, err = buildSuite(ctx, revRoot, filepath.Join(bins, "against")); err != nil {
 			return err
 		}
 	}
@@ -307,10 +342,10 @@ func (t testBin) run(ctx context.Context, bench, benchtime string) (Run, error) 
 // alternate makes count pairs of runs, one of each side per pair, with the
 // side that runs first alternating between pairs. base may be nil (no
 // revision, or one without the benchmark): then only cur runs.
-func alternate(count int, cur, base func() (Run, error)) (curRuns, baseRuns []Run, err error) {
+func alternate[R any](count int, cur, base func() (R, error)) (curRuns, baseRuns []R, err error) {
 	sides := []struct {
-		run  func() (Run, error)
-		runs *[]Run
+		run  func() (R, error)
+		runs *[]R
 	}{{cur, &curRuns}, {base, &baseRuns}}
 	for i := 0; i < count; i++ {
 		for j := range sides {
@@ -340,11 +375,7 @@ func summarize(runs []Run) Side {
 		}
 	}
 	slices.Sort(ns)
-	med := ns[len(ns)/2]
-	if len(ns)%2 == 0 {
-		med = (ns[len(ns)/2-1] + ns[len(ns)/2]) / 2
-	}
-	return Side{NsPerOp: best.NsPerOp, MedianNsPerOp: med, AllocsPerOp: best.AllocsPerOp, BytesPerOp: best.BytesPerOp}
+	return Side{NsPerOp: best.NsPerOp, MedianNsPerOp: quantile(ns, 0.5), AllocsPerOp: best.AllocsPerOp, BytesPerOp: best.BytesPerOp}
 }
 
 // compare summarizes both sides and counts the pairs the working tree won

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -100,5 +101,71 @@ func TestCompare(t *testing.T) {
 	solo := compare(runs(3, 1, 2), nil)
 	if solo.Against != nil || solo.Pairs != 0 || solo.NsPerOp != 1 || solo.MedianNsPerOp != 2 {
 		t.Errorf("without a revision: %+v", solo)
+	}
+}
+
+func TestParsePerfSpecs(t *testing.T) {
+	got, err := parsePerfSpecs("resilient:1:10,serve:7:3,resilient:11:2:trace")
+	want := []perfSpec{{"resilient", 1, 10, false}, {"serve", 7, 3, false}, {"resilient", 11, 2, true}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("parsePerfSpecs = %+v, %v; want %+v", got, err, want)
+	}
+	for _, bad := range []string{"resilient", "resilient:1", ":1:2", "fleet:x:2", "fleet:1:0", "fleet:1:2:traced", "fleet:1:2,"} {
+		if _, err := parsePerfSpecs(bad); err == nil {
+			t.Errorf("parsePerfSpecs(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParsePerfOutput reads the ledger's sample counts and the last line's
+// values, as perfbench prints them.
+func TestParsePerfOutput(t *testing.T) {
+	out := []byte(`# serve end-to-end metrics
+#   chip_intervals_per_s                         2140.5 1/s      n=512
+#   peak_rss_mb                                    22.3 MB       n=1
+{"correct":true,"attempted":1545,"failed":0,"metrics":{"chip_intervals_per_s":{"value":2140.5,"unit":"1/s"},"peak_rss_mb":{"value":22.3,"unit":"MB"}}}
+`)
+	r, err := parsePerfOutput(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Correct || r.Failed != 0 || r.Values["chip_intervals_per_s"] != 2140.5 || r.Samples["chip_intervals_per_s"] != 512 || r.Values["peak_rss_mb"] != 22.3 {
+		t.Errorf("parsed %+v", r)
+	}
+	if _, err := parsePerfOutput([]byte("# only a ledger\n")); err == nil {
+		t.Error("output without a result line parsed")
+	}
+}
+
+// TestComparePerf: quartiles interpolate between runs, wins follow each
+// metric's declared direction, and a failed or incorrect run marks its side.
+func TestComparePerf(t *testing.T) {
+	runs := func(correct bool, rate ...float64) []perfRun {
+		var out []perfRun
+		for _, v := range rate {
+			out = append(out, perfRun{Correct: correct, Values: map[string]float64{"rate": v, "rss": 100 / v}})
+		}
+		return out
+	}
+	defs := map[string]metricDef{"rate": {Better: "higher", Bound: 0.25}, "rss": {Better: "lower", Bound: 0.2}}
+	tree := runs(true, 12, 14, 11, 15, 13)
+	rev := runs(true, 10, 10, 12, 9, 11)
+	rev[2].Correct, rev[2].Failed = false, 2
+	e := comparePerf(perfSpec{Workload: "resilient", Seed: 1, Pairs: 5}, tree, rev, defs)
+	if !e.Correct || e.RevCorrect || e.RevFailed != 2 {
+		t.Errorf("correct %v/%v, failed %d/%d", e.Correct, e.RevCorrect, e.Failed, e.RevFailed)
+	}
+	rate := e.Metrics["rate"]
+	if rate.Tree.Median != 13 || rate.Tree.Q1 != 12 || rate.Tree.Q3 != 14 || rate.Rev.Median != 10 {
+		t.Errorf("rate sides %+v / %+v", rate.Tree, *rate.Rev)
+	}
+	if rate.Wins != 4 || !rate.BeyondIQR || math.Abs(rate.Change-0.3) > 1e-12 || rate.Bound != 0.25 {
+		t.Errorf("rate: won %d, beyond IQR %v, change %v, bound %v; want 4, true, 0.3, 0.25", rate.Wins, rate.BeyondIQR, rate.Change, rate.Bound)
+	}
+	if rss := e.Metrics["rss"]; rss.Wins != 4 {
+		t.Errorf("rss (lower is better) won %d pairs, want 4", rss.Wins)
+	}
+	if got := quantile([]float64{1, 2, 3, 4}, 0.25); got != 1.75 {
+		t.Errorf("lower quartile of 1..4 = %v, want 1.75", got)
 	}
 }

@@ -74,7 +74,7 @@ func (s Stats) MissRate() float64 {
 }
 
 // maxOrderWays is the widest associativity the packed LRU order word can
-// track: 16 ways of 4 bits each in one uint64. Wider caches fall back to a
+// track: 16 ways of 4 bits each in one uint64. Wider caches use the
 // move-to-front tag layout.
 const maxOrderWays = 16
 
@@ -84,13 +84,17 @@ const maxPrefWays = 64
 
 // Cache is a single set-associative cache with true LRU replacement.
 //
-// Storage is packed: all tags live in one flat array of sets*assoc words
-// (indexed set*assoc+way) with lines at fixed way positions, and recency is
-// tracked per set in a 64-bit order word of 4-bit way indices, most recent
-// first. A hit therefore updates LRU state with a few register-width shifts
-// instead of the memmove a move-to-front tag list needs, and an eviction
-// reads its victim from the order word's last nibble. Associativities above
-// 16 use a move-to-front layout within the same flat array.
+// All tags live in one flat array of sets*assoc words, a set's ways at
+// set*assoc onwards, in one of two layouts chosen from the geometry at
+// construction. Packed (3 to 16 ways): lines stay at fixed way positions
+// and recency is tracked per set in a 64-bit order word of 4-bit way
+// indices, most recent first, so a hit updates LRU state with a few
+// register-width shifts instead of a memmove, and an eviction reads its
+// victim from the order word's last nibble. Move-to-front (1 and 2 ways,
+// and above 16): a set's tags are kept most recently used first, so the
+// victim is the last valid tag and no order word is needed. A two-way set
+// is then just its MRU and LRU tags, which AccessBatch updates without a
+// branch on the outcome.
 //
 // It is not safe for concurrent use; each cache belongs to one core's
 // hierarchy (or one island's shared L2), stepped by its chip's sampler.
@@ -99,22 +103,28 @@ type Cache struct {
 	tags []uint64 // sets*assoc, indexed set*assoc+way
 	// order is the per-set LRU order word: nibble k holds the way index of
 	// the k-th most recently used line. Only the first size[s] nibbles are
-	// meaningful; higher nibbles may hold stale values. Nil for wide caches.
+	// meaningful; higher nibbles may hold stale values. Nil for
+	// move-to-front caches.
 	order []uint64
 	// sigs holds one 8-bit tag signature per way, packed eight ways to a
 	// word (sigWords words per set): a lookup SWAR-compares the signatures
 	// and only verifies full tags at candidate ways, so most misses never
-	// touch the (much larger) tag array. Nil for wide caches.
+	// touch the (much larger) tag array. A way's byte is the low byte of
+	// its tag below the set's fill count and 0 above it, so Restore
+	// rebuilds the words from the tags. Nil for move-to-front caches.
 	sigs []uint64
-	pref []uint64 // per-set prefetched-line marks, bit w = way w
-	size []int32  // valid ways per set
+	// pref holds per-set prefetched-line marks: bit w marks way w (packed)
+	// or the w-th most recent line (move-to-front). All zero until a
+	// prefetcher marks a line (prefLive).
+	pref []uint64
+	size []int32 // valid ways per set
 
 	setMask   uint64
 	setShift  uint // tag shift: block bits consumed by set indexing
 	blockBits uint
 	assoc     int
 	sigWords  int  // signature words per set: (assoc+7)/8
-	wide      bool // assoc > maxOrderWays: move-to-front layout
+	mtf       bool // move-to-front layout: assoc ≤ 2 or assoc > maxOrderWays
 	prefLive  bool // a prefetcher has marked at least one line
 	stats     Stats
 }
@@ -133,10 +143,10 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(nsets - 1),
 		blockBits: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
 		assoc:     cfg.Assoc,
-		wide:      cfg.Assoc > maxOrderWays,
+		mtf:       cfg.Assoc <= 2 || cfg.Assoc > maxOrderWays,
 	}
 	c.setShift = uint(bits.TrailingZeros64(c.setMask + 1))
-	if !c.wide {
+	if !c.mtf {
 		c.order = make([]uint64, nsets)
 		c.sigWords = (cfg.Assoc + 7) / 8
 		c.sigs = make([]uint64, nsets*c.sigWords)
@@ -158,8 +168,8 @@ func (c *Cache) Access(addr uint64) bool {
 	set := block & c.setMask
 	tag := block >> c.setShift
 	c.stats.Accesses++
-	if c.wide {
-		return c.accessWide(set, tag)
+	if c.mtf {
+		return c.accessMTF(set, tag)
 	}
 	base := int(set) * c.assoc
 	n := int(c.size[set])
@@ -212,11 +222,12 @@ func (c *Cache) Access(addr uint64) bool {
 // returning that prefix. Cache state and counters end exactly as the
 // per-address Access loop leaves them. It is the L1 half of a Hierarchy
 // pass, where the misses then go to the L2. Two-way caches, the L1s of
-// every simulated chip (Table I), run a loop with the cache's fields in
-// locals and no call per reference; other geometries call Access.
+// every simulated chip (Table I), run accessPairs unless a prefetcher has
+// marked lines in them (no simulated L1 has one); other geometries call
+// Access.
 func (c *Cache) AccessBatch(addrs []uint64) []uint64 {
-	if c.assoc == 2 {
-		return c.accessBatch2(addrs)
+	if c.assoc == 2 && !c.prefLive {
+		return c.accessPairs(addrs)
 	}
 	m := 0
 	for _, a := range addrs {
@@ -228,65 +239,56 @@ func (c *Cache) AccessBatch(addrs []uint64) []uint64 {
 	return addrs[:m]
 }
 
-// accessBatch2 is AccessBatch for two-way caches. Both tags are compared
-// directly, way 0 first as in Access's scan, and every field changes as
-// Access changes it: a hit on the most recently used way, the common case
-// along a sequential run, stores nothing; a hit on the other way swaps the
-// order word's two nibbles; a miss fills the first empty way or evicts the
-// LRU one. Branches, not masks: a mask-selected form must store every
-// field on every reference, so consecutive references to one set chain
-// through those stores; it beat this loop only on a quiet host, and its
-// speed swung with the host's load.
-func (c *Cache) accessBatch2(addrs []uint64) []uint64 {
-	tags, order, sigs, size, pref := c.tags, c.order, c.sigs, c.size, c.pref
+// accessPairs is AccessBatch for two-way move-to-front caches without
+// prefetch marks, where a set is its MRU tag, its LRU tag and its fill
+// count. On a full set no branch depends on the outcome: the referenced
+// tag becomes the MRU tag, the old MRU tag becomes the LRU tag unless the
+// reference hit it, and a hit is a match with either tag, so each
+// reference stores the set's two adjacent words and nothing else. Only a
+// set's first two fills take a branch, so after warm-up it is always
+// predicted. (A mask form over the packed layout had to store the order
+// word, fill count, tag and signature on every reference, and its speed
+// swung with the host's load; DESIGN.md §7.)
+func (c *Cache) accessPairs(addrs []uint64) []uint64 {
+	tags, size := c.tags, c.size
 	blockBits, setMask, setShift := c.blockBits, c.setMask, c.setShift
-	prefLive := c.prefLive
-	var hits, evictions uint64
+	var hits, fills uint64
 	m := 0
 	for _, addr := range addrs {
 		block := addr >> blockBits
 		set := block & setMask
 		tag := block >> setShift
-		ways := tags[2*set : 2*set+2 : 2*set+2]
-		n := size[set]
-		ord := order[set]
-		if n > 0 && ways[0] == tag {
-			hits++
-			if ord&0xf != 0 {
-				order[set] = ord&^0xff | (ord&0xf)<<4
-			}
-			continue
-		}
-		if n > 1 && ways[1] == tag {
-			hits++
-			if ord&0xf != 1 {
-				order[set] = ord&^0xff | (ord&0xf)<<4 | 1
-			}
-			continue
-		}
-		var way uint64
-		if n < 2 {
-			way = uint64(n)
+		pair := tags[2*set : 2*set+2 : 2*set+2]
+		mru, lru := pair[0], pair[1]
+		if n := size[set]; n < 2 && (n == 0 || mru != tag) {
+			// A fill of an empty way: the MRU tag (or the empty way's 0)
+			// moves down one place.
+			pair[0], pair[1] = tag, mru
 			size[set] = n + 1
-		} else {
-			evictions++
-			way = ord >> 4 & 1
-			if prefLive {
-				pref[set] &^= 1 << way
-			}
+			fills++
+			addrs[m] = addr
+			m++
+			continue
 		}
-		ways[way] = tag
-		order[set] = ord<<4 | way
-		sh := way * 8
-		sigs[set] = sigs[set]&^(0xff<<sh) | (tag&0xff)<<sh
+		keep := eqMask(mru, tag) // a hit on the MRU tag keeps the LRU tag
+		hit := (keep | eqMask(lru, tag)) & 1
+		pair[0] = tag
+		pair[1] = mru ^ (mru^lru)&keep
+		hits += hit
 		addrs[m] = addr
-		m++
+		m += int(1 - hit)
 	}
 	c.stats.Accesses += uint64(len(addrs))
 	c.stats.Hits += hits
 	c.stats.Misses += uint64(m)
-	c.stats.Evictions += evictions
+	c.stats.Evictions += uint64(m) - fills // every other miss found the set full
 	return addrs[:m]
+}
+
+// eqMask returns all ones when a == b and zero otherwise.
+func eqMask(a, b uint64) uint64 {
+	x := a ^ b
+	return (x|-x)>>63 - 1
 }
 
 // SWAR constants: byte and nibble lane units and high-bit masks.
@@ -305,9 +307,9 @@ func (c *Cache) setSig(si, way int, tag uint64) {
 	c.sigs[i] = c.sigs[i]&^(0xff<<sh) | (tag&0xff)<<sh
 }
 
-// accessWide is the Access fallback for associativities the order word
-// cannot hold: tags are kept most-recently-used first and rotated in place.
-func (c *Cache) accessWide(set, tag uint64) bool {
+// accessMTF is Access for the move-to-front layout: tags are kept most
+// recently used first and rotated in place.
+func (c *Cache) accessMTF(set, tag uint64) bool {
 	base := int(set) * c.assoc
 	n := int(c.size[set])
 	ways := c.tags[base : base+n : base+n]

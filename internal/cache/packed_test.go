@@ -78,14 +78,14 @@ func (r *refLRU) Probe(addr uint64) bool {
 
 // TestPackedMatchesReference drives the packed cache and the reference LRU
 // with identical random traces and demands identical hit/miss sequences,
-// statistics and residency — across the order-word path (assoc ≤ 16) and
-// the wide move-to-front fallback (assoc > 16).
+// statistics and residency — across the order-word layout (4 and 16 ways)
+// and the move-to-front layout (2 and 32 ways).
 func TestPackedMatchesReference(t *testing.T) {
 	geoms := []Config{
 		{SizeBytes: 1024, Assoc: 2, BlockBytes: 64},
 		{SizeBytes: 4 * 1024, Assoc: 4, BlockBytes: 64},
 		{SizeBytes: 16 * 1024, Assoc: 16, BlockBytes: 64},
-		{SizeBytes: 32 * 1024, Assoc: 32, BlockBytes: 64}, // wide fallback
+		{SizeBytes: 32 * 1024, Assoc: 32, BlockBytes: 64},
 	}
 	for _, cfg := range geoms {
 		c := mustCache(t, cfg)

@@ -118,7 +118,7 @@ func (c *Cache) Fill(addr uint64) bool {
 		}
 	}
 	c.prefLive = true
-	if c.wide {
+	if c.mtf {
 		if n < c.assoc {
 			n++
 			c.size[set] = int32(n)

@@ -10,20 +10,24 @@ const (
 	l2KindPrefetcher uint8 = 3
 )
 
-// Snapshot appends the cache's complete dynamic state: packed tag array,
-// per-set LRU order words, SWAR signatures, prefetch bit-words, per-set
-// fill counts, the prefetch-liveness flag and the cumulative counters.
-// Geometry (sets, associativity, block size) is construction-time
+// Snapshot appends the cache's complete dynamic state: the tag array (in
+// MRU order for move-to-front caches), the per-set LRU order words (none
+// for move-to-front caches), per-set fill counts, the prefetch-liveness
+// flag, the prefetch bit-words when it is set, and the cumulative
+// counters. The SWAR signatures are a function of the tags and fill counts
+// and are rebuilt by Restore; prefetch words are all zero until a line is
+// marked. Geometry (sets, associativity, block size) is construction-time
 // configuration; Restore validates shape against it rather than trusting
 // the bytes.
 func (c *Cache) Snapshot(e *snapshot.Encoder) {
 	e.Tag(snapshot.TagCache)
 	e.U64s(c.tags)
-	e.U64s(c.order) // nil for wide caches: encodes as length 0
-	e.U64s(c.sigs)
-	e.U64s(c.pref)
+	e.U64s(c.order) // nil for move-to-front caches: encodes as length 0
 	e.I32s(c.size)
 	e.Bool(c.prefLive)
+	if c.prefLive {
+		e.U64s(c.pref)
+	}
 	e.U64(c.stats.Accesses)
 	e.U64(c.stats.Hits)
 	e.U64(c.stats.Misses)
@@ -32,18 +36,22 @@ func (c *Cache) Snapshot(e *snapshot.Encoder) {
 
 // Restore reads state written by Snapshot straight into a cache of
 // identical geometry, rejecting length mismatches and any set state a
-// cache cannot reach: a fill count outside [0, assoc], or an LRU order
-// whose first size[s] nibbles are not ways 0..size[s]-1 once each (fills
-// take ways in order, so those are exactly a set's valid ways). On error
-// the cache may be left partly written.
+// cache cannot reach: a fill count outside [0, assoc], a nonzero tag in a
+// way past the fill count, or an LRU order whose first size[s] nibbles are
+// not ways 0..size[s]-1 once each (fills take ways in order, so those are
+// exactly a set's valid ways). It then rebuilds the signature words from
+// the tags. On error the cache may be left partly written.
 func (c *Cache) Restore(d *snapshot.Decoder) error {
 	d.Tag(snapshot.TagCache)
 	d.U64sInto(c.tags)
-	d.U64sInto(c.order) // nil for wide caches: length 0
-	d.U64sInto(c.sigs)
-	d.U64sInto(c.pref)
+	d.U64sInto(c.order) // nil for move-to-front caches: length 0
 	d.I32sInto(c.size)
 	prefLive := d.Bool()
+	if prefLive {
+		d.U64sInto(c.pref)
+	} else {
+		clear(c.pref)
+	}
 	var st Stats
 	st.Accesses = d.U64()
 	st.Hits = d.U64()
@@ -56,7 +64,13 @@ func (c *Cache) Restore(d *snapshot.Decoder) error {
 		if n < 0 || int(n) > c.assoc {
 			return snapshot.ShapeErrorf("set %d fill count %d outside [0, %d]", s, n, c.assoc)
 		}
-		if c.order == nil {
+		base := s * c.assoc
+		for w := int(n); w < c.assoc; w++ {
+			if c.tags[base+w] != 0 {
+				return snapshot.ShapeErrorf("set %d holds tag %#x in empty way %d", s, c.tags[base+w], w)
+			}
+		}
+		if c.mtf {
 			continue
 		}
 		var named uint32 // bit w: way w appears among the first n nibbles
@@ -67,9 +81,41 @@ func (c *Cache) Restore(d *snapshot.Decoder) error {
 			return snapshot.ShapeErrorf("set %d LRU order %#x does not name ways 0..%d once each", s, c.order[s], n-1)
 		}
 	}
+	c.rebuildSigs()
 	c.prefLive = prefLive
 	c.stats = st
 	return nil
+}
+
+// rebuildSigs recomputes every set's signature words from its tags: byte w
+// is the low byte of way w's tag below the set's fill count and 0 above
+// it, as fills leave them. Nothing for move-to-front caches.
+func (c *Cache) rebuildSigs() {
+	if c.mtf {
+		return
+	}
+	for s, n := range c.size {
+		ways := c.tags[s*c.assoc : s*c.assoc+int(n)]
+		sigs := c.sigs[s*c.sigWords : (s+1)*c.sigWords]
+		for k := range sigs {
+			lo := min(8*k, len(ways))
+			sigs[k] = sigWord(ways[lo:min(lo+8, len(ways))])
+		}
+	}
+}
+
+// sigWord packs the low bytes of up to eight tags into a signature word,
+// the first tag's in the lowest byte.
+func sigWord(ways []uint64) uint64 {
+	if len(ways) == 8 {
+		return ways[0]&0xff | ways[1]&0xff<<8 | ways[2]&0xff<<16 | ways[3]&0xff<<24 |
+			ways[4]&0xff<<32 | ways[5]&0xff<<40 | ways[6]&0xff<<48 | ways[7]<<56
+	}
+	var sig uint64
+	for j, t := range ways {
+		sig |= t & 0xff << (8 * uint(j))
+	}
+	return sig
 }
 
 // Snapshot appends every bank's state.

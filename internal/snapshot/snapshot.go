@@ -54,7 +54,11 @@ const Magic uint32 = 0x534d5043
 // Version 5: the MaxBIPS runner section keeps only its kind and interval
 // counter; its primed flag and epoch power and BIPS sums, which the
 // static-table planner never read, are gone.
-const Version uint32 = 5
+// Version 6: a cache section no longer carries signature words (Restore
+// rebuilds them from the tags) and carries prefetch marks only when a line
+// has been marked; two-way caches keep their tags in MRU order with no
+// LRU order word.
+const Version uint32 = 6
 
 // Section tags. Every composite object's Snapshot opens with one, and the
 // matching Restore verifies it — a cheap structural checksum that turns
